@@ -21,6 +21,7 @@
 #include "gdp/exp/runner.hpp"
 #include "gdp/graph/algorithms.hpp"
 #include "gdp/graph/builders.hpp"
+#include "gdp/mdp/level_explore.hpp"
 #include "gdp/mdp/par/par.hpp"
 #include "gdp/mdp/quant/quant.hpp"
 #include "gdp/mdp/store/store.hpp"
@@ -102,7 +103,8 @@ int main(int argc, char** argv) {
   if (want('b')) {
   std::printf("\n(b) packed state keys (gdp::mdp::KeyCodec): intern-table + frontier memory:\n");
   stats::Table keys({"model", "states", "B/state packed", "B/state legacy", "ratio",
-                     "peak intern key bytes", "frontier B/item", "was (SimState)"});
+                     "intern bytes (arena + slots)", "intern B/state", "frontier B/item",
+                     "was (SimState)"});
   struct KeyCase {
     const char* algo;
     graph::Topology t;
@@ -121,20 +123,20 @@ int main(int argc, char** argv) {
     b += s.aux.capacity() * sizeof(std::int32_t);
     return b;
   };
-  // The level-synchronous explorer keeps every key twice for the whole run
-  // — once in the intern index and once in the id-ordered key array behind
-  // take_model and the chunked store — so the honest peak doubles the
-  // per-state footprint at every thread count.
-  const std::size_t copies = 2;
   for (const KeyCase& kc : key_cases) {
     const auto algo = algos::make_algorithm(kc.algo);
-    mdp::StateIndex index;
-    const auto model = mdp::par::explore_indexed(*algo, kc.t, index, opts);
-    const auto& codec = index.codec();
+    const auto model = mdp::store::explore(*algo, kc.t, {}, opts);
+    const auto& codec = model.codec();
     const std::size_t packed = codec.key_bytes();
     const std::size_t legacy = codec.legacy_key_bytes();
-    const std::size_t peak_packed = index.size() * packed * copies;
-    const std::size_t peak_legacy = index.size() * legacy * copies;
+    // The explorer's interner holds every key once, in a flat id-ordered
+    // arena, plus an open-addressing table of 32-bit ids whose size is a
+    // function of the key count alone — the explore.intern_bytes_peak
+    // gauge. Re-indexing the model's keys rebuilds exactly that table.
+    mdp::detail::InternTable table;
+    table.assign(codec.key_words(), model.keys());
+    const std::size_t intern = table.bytes();
+    const std::size_t arena = model.num_states() * packed;
     // A frontier item is one provisional id plus the packed key (wide
     // layouts spill to a heap block of exactly key_bytes()).
     const std::size_t frontier_item =
@@ -142,19 +144,20 @@ int main(int argc, char** argv) {
         (codec.key_words() > mdp::PackedKey::kInlineWords ? codec.key_bytes() : 0);
     const std::size_t frontier_was =
         sizeof(std::uint32_t) + sim_state_bytes(algo->initial_state(kc.t));
-    char ratio[32];
+    char ratio[32], per_state[32];
     std::snprintf(ratio, sizeof ratio, "%.1fx", static_cast<double>(legacy) / packed);
+    std::snprintf(per_state, sizeof per_state, "%.1f",
+                  static_cast<double>(intern) / model.num_states());
     keys.add_row({std::string(kc.algo) + "/" + kc.t.name(), std::to_string(model.num_states()),
-                  std::to_string(packed), std::to_string(legacy), ratio,
-                  std::to_string(peak_packed) + " (was " + std::to_string(peak_legacy) + ")",
-                  std::to_string(frontier_item), std::to_string(frontier_was)});
+                  std::to_string(packed), std::to_string(legacy), ratio, std::to_string(intern),
+                  per_state, std::to_string(frontier_item), std::to_string(frontier_was)});
     // Machine-readable line for BENCH json tracking of the memory win.
     std::printf("  BENCH key_bytes model=%s/%s states=%zu packed_bytes_per_state=%zu "
-                "legacy_bytes_per_state=%zu peak_intern_key_bytes=%zu "
-                "final_intern_key_bytes=%zu frontier_item_bytes=%zu "
+                "legacy_bytes_per_state=%zu intern_bytes=%zu intern_arena_bytes=%zu "
+                "intern_slot_bytes=%zu frontier_item_bytes=%zu "
                 "frontier_item_bytes_legacy=%zu\n",
-                kc.algo, kc.t.name().c_str(), model.num_states(), packed, legacy, peak_packed,
-                index.size() * packed, frontier_item, frontier_was);
+                kc.algo, kc.t.name().c_str(), model.num_states(), packed, legacy, intern, arena,
+                intern - arena, frontier_item, frontier_was);
   }
   keys.print();
   }

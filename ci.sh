@@ -7,9 +7,11 @@
 #                                    clang++ is available (CI pins one; local
 #                                    GCC-only machines skip it with a notice).
 #        ./ci.sh bench-smoke       — build bench_thm2_theta, run its store
-#                                    section with GDP_OBS=1 and validate the
-#                                    emitted BENCH_thm2_theta.json against
-#                                    the obs run-report schema; then rerun it
+#                                    section with GDP_OBS=1 at threads 1 and
+#                                    4, validate both BENCH_thm2_theta.json
+#                                    reports against the obs run-report
+#                                    schema and require equal deterministic
+#                                    planes (1M-state explore); then rerun it
 #                                    with the timeline plane and heartbeats on
 #                                    (GDP_OBS_TIMELINE / GDP_OBS_PROGRESS) and
 #                                    validate TRACE_thm2_theta.json plus the
@@ -54,10 +56,27 @@ if [[ "${1:-}" == "bench-smoke" ]]; then
   cmake -B build/bench-smoke -S . -DCMAKE_BUILD_TYPE=Release -DGDP_BUILD_TESTS=OFF \
     -DGDP_BUILD_EXAMPLES=OFF
   cmake --build build/bench-smoke -j "${JOBS}" --target bench_thm2_theta
-  echo "=== bench-smoke: run section (d) with GDP_OBS=1 ==="
-  ( cd build/bench-smoke/bench && GDP_OBS=1 ./bench_thm2_theta 0 d )
-  echo "=== bench-smoke: validate the run report against the obs schema ==="
+  echo "=== bench-smoke: run section (d) with GDP_OBS=1 at threads 1 and 4 ==="
+  ( cd build/bench-smoke/bench && GDP_OBS=1 ./bench_thm2_theta 1 d && \
+    mv BENCH_thm2_theta.json BENCH_thm2_theta_t1.json && \
+    GDP_OBS=1 ./bench_thm2_theta 4 d )
+  echo "=== bench-smoke: validate the run reports against the obs schema ==="
+  python3 tools/obs/validate_report.py build/bench-smoke/bench/BENCH_thm2_theta_t1.json
   python3 tools/obs/validate_report.py build/bench-smoke/bench/BENCH_thm2_theta.json
+  echo "=== bench-smoke: the deterministic plane must not depend on the thread count ==="
+  python3 - build/bench-smoke/bench/BENCH_thm2_theta_t1.json \
+    build/bench-smoke/bench/BENCH_thm2_theta.json <<'PY'
+import json, sys
+t1, t4 = (json.load(open(path))["deterministic"] for path in sys.argv[1:3])
+if t1 != t4:
+    for table in sorted(set(t1) | set(t4)):
+        a, b = t1.get(table, {}), t4.get(table, {})
+        for name in sorted(set(a) | set(b)):
+            if a.get(name) != b.get(name):
+                print(f"{table}.{name}: threads=1 {a.get(name)} threads=4 {b.get(name)}")
+    sys.exit("deterministic plane differs between threads=1 and threads=4")
+print("deterministic plane identical at threads 1 and 4")
+PY
   echo "=== bench-smoke: rerun with the timeline plane + 50ms heartbeats ==="
   ( cd build/bench-smoke/bench && \
     GDP_OBS=1 GDP_OBS_TIMELINE=1 GDP_OBS_PROGRESS=50 ./bench_thm2_theta 0 d \

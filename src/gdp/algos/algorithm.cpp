@@ -4,7 +4,6 @@
 
 namespace gdp::algos {
 
-using sim::Branch;
 using sim::EventKind;
 using sim::Phase;
 using sim::SimState;
@@ -42,25 +41,18 @@ sim::SimState Algorithm::initial_state(const graph::Topology& t) const {
   return state;
 }
 
-std::vector<Branch> Algorithm::think_step(const SimState& state, PhilId p,
-                                          Phase first_phase) const {
+void Algorithm::think_step(const SimState& state, PhilId p, Phase first_phase,
+                           sim::BranchBuffer& out) const {
   GDP_DCHECK(state.phil(p).phase == Phase::kThinking);
-  SimState awake = state;
-  awake.phil(p).phase = first_phase;
-  StepEvent woke{EventKind::kStartTrying, Side::kLeft, kNoFork, 0};
-
+  const StepEvent woke{EventKind::kStartTrying, Side::kLeft, kNoFork, 0};
   if (config_.think == ThinkMode::kHungry || config_.think_coin >= 1.0) {
-    std::vector<Branch> branches;
-    branches.push_back(deterministic(std::move(awake), woke));
-    return branches;
+    out.add(1.0, woke, state).phil(p).phase = first_phase;
+    return;
   }
   GDP_DCHECK(config_.think_coin > 0.0);
   // Coin mode: geometric thinking time.
-  std::vector<Branch> branches;
-  branches.push_back(Branch{config_.think_coin, woke, std::move(awake)});
-  branches.push_back(
-      Branch{1.0 - config_.think_coin, StepEvent{EventKind::kStillThinking}, state});
-  return branches;
+  out.add(config_.think_coin, woke, state).phil(p).phase = first_phase;
+  out.add(1.0 - config_.think_coin, StepEvent{EventKind::kStillThinking}, state);
 }
 
 }  // namespace gdp::algos

@@ -1,11 +1,11 @@
 // The Algorithm interface: a philosopher program as an atomic-step relation.
 //
 // Every algorithm of the paper (Tables 1-4) and every §1 baseline implements
-// step(): given the topology, the current configuration and a scheduled
-// philosopher, return the probability distribution over successors that one
-// atomic action of that philosopher induces. Enumerated branches make the
-// same code serve the sampling simulator, the exact replayer and the MDP
-// model checker.
+// enumerate(), reached through step() and step_into(): given the topology,
+// the current configuration and a scheduled philosopher, list the
+// probability distribution over successors that one atomic action of that
+// philosopher induces. Enumerated branches make the same code serve the
+// sampling simulator, the exact replayer and the MDP model checker.
 #pragma once
 
 #include <memory>
@@ -69,10 +69,23 @@ class Algorithm {
   /// with nr = 0, empty books; baselines may add aux state via init_aux().
   sim::SimState initial_state(const graph::Topology& t) const;
 
-  /// All probabilistic branches of one atomic step of philosopher `p`.
-  /// Branch probabilities are positive and sum to 1. Never empty.
-  virtual std::vector<sim::Branch> step(const graph::Topology& t, const sim::SimState& state,
-                                        PhilId p) const = 0;
+  /// All probabilistic branches of one atomic step of philosopher `p`,
+  /// written into `out` (cleared first). Branch probabilities are positive
+  /// and sum to 1. Never empty. Reusing one `out` across calls reuses its
+  /// states' storage — the MDP explorer's allocation-free expand step.
+  void step_into(const graph::Topology& t, const sim::SimState& state, PhilId p,
+                 sim::BranchBuffer& out) const {
+    out.clear();
+    enumerate(t, state, p, out);
+  }
+
+  /// step_into() into a fresh buffer: the simulator's and replayer's form.
+  std::vector<sim::Branch> step(const graph::Topology& t, const sim::SimState& state,
+                                PhilId p) const {
+    sim::BranchBuffer out;
+    enumerate(t, state, p, out);
+    return out.take();
+  }
 
   const AlgoConfig& config() const { return config_; }
 
@@ -80,6 +93,11 @@ class Algorithm {
   int effective_m(const graph::Topology& t) const;
 
  protected:
+  /// The algorithm's step relation: appends the branches of one atomic step
+  /// of `p` in `state` to the empty buffer `out`.
+  virtual void enumerate(const graph::Topology& t, const sim::SimState& state, PhilId p,
+                         sim::BranchBuffer& out) const = 0;
+
   /// Hook for baselines to set up aux words (arbiter queue, ticket box).
   /// Contract: the word count is fixed for the run and every value stays in
   /// [-1, num_phils - 1] (philosopher ids, -1 sentinels, small counters) —
@@ -89,8 +107,8 @@ class Algorithm {
 
   /// Handles Phase::kThinking according to the think mode; on waking, the
   /// philosopher moves to `first_phase` (kChoose, kRegister, ...).
-  std::vector<sim::Branch> think_step(const sim::SimState& state, PhilId p,
-                                      sim::Phase first_phase) const;
+  void think_step(const sim::SimState& state, PhilId p, sim::Phase first_phase,
+                  sim::BranchBuffer& out) const;
 
   AlgoConfig config_;
 };

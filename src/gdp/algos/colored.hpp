@@ -24,8 +24,9 @@ class Colored final : public Algorithm {
 
   void validate(const graph::Topology& t) const override;
 
-  std::vector<sim::Branch> step(const graph::Topology& t, const sim::SimState& state,
-                                PhilId p) const override;
+ protected:
+  void enumerate(const graph::Topology& t, const sim::SimState& state, PhilId p,
+                 sim::BranchBuffer& out) const override;
 };
 
 }  // namespace gdp::algos

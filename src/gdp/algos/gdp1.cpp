@@ -4,7 +4,6 @@
 
 namespace gdp::algos {
 
-using sim::Branch;
 using sim::EventKind;
 using sim::Phase;
 using sim::SimState;
@@ -16,38 +15,36 @@ Side Gdp1::choose_first(const graph::Topology& t, const SimState& state, PhilId 
   return left_nr > right_nr ? Side::kLeft : Side::kRight;
 }
 
-std::vector<Branch> Gdp1::step(const graph::Topology& t, const SimState& state, PhilId p) const {
+void Gdp1::enumerate(const graph::Topology& t, const SimState& state, PhilId p,
+                     sim::BranchBuffer& out) const {
   const sim::PhilState& me = state.phil(p);
-  std::vector<Branch> branches;
 
   switch (me.phase) {
     case Phase::kThinking:
-      return think_step(state, p, Phase::kChoose);
+      think_step(state, p, Phase::kChoose, out);
+      return;
 
     case Phase::kChoose: {
       // Step 2: deterministic — first fork is the higher-numbered one.
       const Side side = choose_first(t, state, p);
-      SimState next = state;
+      SimState& next =
+          out.add(1.0, StepEvent{EventKind::kChose, side, t.fork_of(p, side), 0}, state);
       next.phil(p).phase = Phase::kCommit;
       next.phil(p).committed = side;
-      branches.push_back(deterministic(
-          std::move(next), StepEvent{EventKind::kChose, side, t.fork_of(p, side), 0}));
-      return branches;
+      return;
     }
 
     case Phase::kCommit: {
       // Step 3: test-and-set, busy-wait on failure.
       const ForkId f = t.fork_of(p, me.committed);
-      SimState next = state;
-      if (sim::try_take(next, f, p)) {
+      if (state.fork(f).free()) {
+        SimState& next = out.add(1.0, StepEvent{EventKind::kTookFirst, me.committed, f, 0}, state);
+        sim::try_take(next, f, p);
         next.phil(p).phase = Phase::kRenumber;
-        branches.push_back(
-            deterministic(std::move(next), StepEvent{EventKind::kTookFirst, me.committed, f, 0}));
       } else {
-        branches.push_back(
-            deterministic(state, StepEvent{EventKind::kBlockedFirst, me.committed, f, 0}));
+        out.add(1.0, StepEvent{EventKind::kBlockedFirst, me.committed, f, 0}, state);
       }
-      return branches;
+      return;
     }
 
     case Phase::kRenumber: {
@@ -56,50 +53,43 @@ std::vector<Branch> Gdp1::step(const graph::Topology& t, const SimState& state, 
       const ForkId g = t.other_fork(p, f);
       if (state.fork(f).nr == state.fork(g).nr) {
         const int m = effective_m(t);
-        branches.reserve(static_cast<std::size_t>(m));
         for (int v = 1; v <= m; ++v) {
-          SimState next = state;
+          SimState& next =
+              out.add(1.0 / m, StepEvent{EventKind::kRenumbered, me.committed, f, v}, state);
           next.fork(f).nr = static_cast<std::uint16_t>(v);
           next.phil(p).phase = Phase::kTrySecond;
-          branches.push_back(
-              Branch{1.0 / m, StepEvent{EventKind::kRenumbered, me.committed, f, v},
-                     std::move(next)});
         }
       } else {
-        SimState next = state;
+        SimState& next = out.add(1.0, StepEvent{EventKind::kNrDistinct, me.committed, f, 0}, state);
         next.phil(p).phase = Phase::kTrySecond;
-        branches.push_back(
-            deterministic(std::move(next), StepEvent{EventKind::kNrDistinct, me.committed, f, 0}));
       }
-      return branches;
+      return;
     }
 
     case Phase::kTrySecond: {
       // Step 5: try the other fork; on failure release and re-choose by nr.
       const ForkId f = t.fork_of(p, me.committed);
       const ForkId g = t.other_fork(p, f);
-      SimState next = state;
-      if (sim::try_take(next, g, p)) {
+      if (state.fork(g).free()) {
+        SimState& next = out.add(1.0, StepEvent{EventKind::kTookSecond, me.committed, g, 0}, state);
+        sim::try_take(next, g, p);
         next.phil(p).phase = Phase::kEating;
-        branches.push_back(
-            deterministic(std::move(next), StepEvent{EventKind::kTookSecond, me.committed, g, 0}));
       } else {
+        SimState& next =
+            out.add(1.0, StepEvent{EventKind::kFailedSecond, me.committed, g, 0}, state);
         sim::release(next, f, p);
         next.phil(p).phase = Phase::kChoose;
-        branches.push_back(
-            deterministic(std::move(next), StepEvent{EventKind::kFailedSecond, me.committed, g, 0}));
       }
-      return branches;
+      return;
     }
 
     case Phase::kEating: {
       // Steps 6-8.
-      SimState next = state;
+      SimState& next = out.add(1.0, StepEvent{EventKind::kFinishedEating}, state);
       sim::release(next, t.left_of(p), p);
       sim::release(next, t.right_of(p), p);
       next.phil(p).phase = Phase::kThinking;
-      branches.push_back(deterministic(std::move(next), StepEvent{EventKind::kFinishedEating}));
-      return branches;
+      return;
     }
 
     case Phase::kRegister:

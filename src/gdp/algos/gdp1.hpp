@@ -36,11 +36,12 @@ class Gdp1 final : public Algorithm {
   std::string name() const override { return "gdp1"; }
   bool uses_numbers() const override { return true; }
 
-  std::vector<sim::Branch> step(const graph::Topology& t, const sim::SimState& state,
-                                PhilId p) const override;
-
   /// Table 3 step 2 as a pure function: the side of the first fork.
   static Side choose_first(const graph::Topology& t, const sim::SimState& state, PhilId p);
+
+ protected:
+  void enumerate(const graph::Topology& t, const sim::SimState& state, PhilId p,
+                 sim::BranchBuffer& out) const override;
 };
 
 }  // namespace gdp::algos

@@ -5,7 +5,6 @@
 
 namespace gdp::algos {
 
-using sim::Branch;
 using sim::EventKind;
 using sim::Phase;
 using sim::SimState;
@@ -24,48 +23,45 @@ void set_request(SimState& state, const graph::Topology& t, ForkId f, PhilId p, 
 
 }  // namespace
 
-std::vector<Branch> Gdp2::step(const graph::Topology& t, const SimState& state, PhilId p) const {
+void Gdp2::enumerate(const graph::Topology& t, const SimState& state, PhilId p,
+                     sim::BranchBuffer& out) const {
   const sim::PhilState& me = state.phil(p);
-  std::vector<Branch> branches;
 
   switch (me.phase) {
     case Phase::kThinking:
-      return think_step(state, p, Phase::kRegister);
+      think_step(state, p, Phase::kRegister, out);
+      return;
 
     case Phase::kRegister: {
       // Step 2: announce interest on both forks.
-      SimState next = state;
+      SimState& next = out.add(1.0, StepEvent{EventKind::kRegistered}, state);
       set_request(next, t, t.left_of(p), p, true);
       set_request(next, t, t.right_of(p), p, true);
       next.phil(p).phase = Phase::kChoose;
-      branches.push_back(deterministic(std::move(next), StepEvent{EventKind::kRegistered}));
-      return branches;
+      return;
     }
 
     case Phase::kChoose: {
       // Step 3: first fork is the higher-numbered one (GDP1's rule).
       const Side side = Gdp1::choose_first(t, state, p);
-      SimState next = state;
+      SimState& next =
+          out.add(1.0, StepEvent{EventKind::kChose, side, t.fork_of(p, side), 0}, state);
       next.phil(p).phase = Phase::kCommit;
       next.phil(p).committed = side;
-      branches.push_back(deterministic(
-          std::move(next), StepEvent{EventKind::kChose, side, t.fork_of(p, side), 0}));
-      return branches;
+      return;
     }
 
     case Phase::kCommit: {
       // Step 4: free *and* Cond(fork), like LR2.
       const ForkId f = t.fork_of(p, me.committed);
-      SimState next = state;
-      if (state.fork(f).free() && sim::cond_holds(state, t, f, p) && sim::try_take(next, f, p)) {
+      if (state.fork(f).free() && sim::cond_holds(state, t, f, p)) {
+        SimState& next = out.add(1.0, StepEvent{EventKind::kTookFirst, me.committed, f, 0}, state);
+        sim::try_take(next, f, p);
         next.phil(p).phase = Phase::kRenumber;
-        branches.push_back(
-            deterministic(std::move(next), StepEvent{EventKind::kTookFirst, me.committed, f, 0}));
       } else {
-        branches.push_back(
-            deterministic(state, StepEvent{EventKind::kBlockedFirst, me.committed, f, 0}));
+        out.add(1.0, StepEvent{EventKind::kBlockedFirst, me.committed, f, 0}, state);
       }
-      return branches;
+      return;
     }
 
     case Phase::kRenumber: {
@@ -74,21 +70,17 @@ std::vector<Branch> Gdp2::step(const graph::Topology& t, const SimState& state, 
       const ForkId g = t.other_fork(p, f);
       if (state.fork(f).nr == state.fork(g).nr) {
         const int m = effective_m(t);
-        branches.reserve(static_cast<std::size_t>(m));
         for (int v = 1; v <= m; ++v) {
-          SimState next = state;
+          SimState& next =
+              out.add(1.0 / m, StepEvent{EventKind::kRenumbered, me.committed, f, v}, state);
           next.fork(f).nr = static_cast<std::uint16_t>(v);
           next.phil(p).phase = Phase::kTrySecond;
-          branches.push_back(Branch{
-              1.0 / m, StepEvent{EventKind::kRenumbered, me.committed, f, v}, std::move(next)});
         }
       } else {
-        SimState next = state;
+        SimState& next = out.add(1.0, StepEvent{EventKind::kNrDistinct, me.committed, f, 0}, state);
         next.phil(p).phase = Phase::kTrySecond;
-        branches.push_back(
-            deterministic(std::move(next), StepEvent{EventKind::kNrDistinct, me.committed, f, 0}));
       }
-      return branches;
+      return;
     }
 
     case Phase::kTrySecond: {
@@ -96,23 +88,22 @@ std::vector<Branch> Gdp2::step(const graph::Topology& t, const SimState& state, 
       // variant also requires Cond (see header note). On failure goto 3.
       const ForkId f = t.fork_of(p, me.committed);
       const ForkId g = t.other_fork(p, f);
-      SimState next = state;
-      if ((!cond_on_second_ || sim::cond_holds(state, t, g, p)) && sim::try_take(next, g, p)) {
+      if ((!cond_on_second_ || sim::cond_holds(state, t, g, p)) && state.fork(g).free()) {
+        SimState& next = out.add(1.0, StepEvent{EventKind::kTookSecond, me.committed, g, 0}, state);
+        sim::try_take(next, g, p);
         next.phil(p).phase = Phase::kEating;
-        branches.push_back(
-            deterministic(std::move(next), StepEvent{EventKind::kTookSecond, me.committed, g, 0}));
       } else {
+        SimState& next =
+            out.add(1.0, StepEvent{EventKind::kFailedSecond, me.committed, g, 0}, state);
         sim::release(next, f, p);
         next.phil(p).phase = Phase::kChoose;
-        branches.push_back(
-            deterministic(std::move(next), StepEvent{EventKind::kFailedSecond, me.committed, g, 0}));
       }
-      return branches;
+      return;
     }
 
     case Phase::kEating: {
       // Steps 7-11: deregister, sign guest books, release, think.
-      SimState next = state;
+      SimState& next = out.add(1.0, StepEvent{EventKind::kFinishedEating}, state);
       set_request(next, t, t.left_of(p), p, false);
       set_request(next, t, t.right_of(p), p, false);
       sim::mark_used(next, t, t.left_of(p), p);
@@ -120,8 +111,7 @@ std::vector<Branch> Gdp2::step(const graph::Topology& t, const SimState& state, 
       sim::release(next, t.left_of(p), p);
       sim::release(next, t.right_of(p), p);
       next.phil(p).phase = Phase::kThinking;
-      branches.push_back(deterministic(std::move(next), StepEvent{EventKind::kFinishedEating}));
-      return branches;
+      return;
     }
 
     case Phase::kWaitGrant:

@@ -54,8 +54,9 @@ class Gdp2 final : public Algorithm {
   /// True for the prose-faithful variant that applies Cond to both takes.
   bool cond_on_second_take() const { return cond_on_second_; }
 
-  std::vector<sim::Branch> step(const graph::Topology& t, const sim::SimState& state,
-                                PhilId p) const override;
+ protected:
+  void enumerate(const graph::Topology& t, const sim::SimState& state, PhilId p,
+                 sim::BranchBuffer& out) const override;
 
  private:
   bool cond_on_second_;

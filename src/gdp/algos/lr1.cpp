@@ -4,76 +4,70 @@
 
 namespace gdp::algos {
 
-using sim::Branch;
 using sim::EventKind;
 using sim::Phase;
 using sim::SimState;
 using sim::StepEvent;
 
-std::vector<Branch> Lr1::step(const graph::Topology& t, const SimState& state, PhilId p) const {
+void Lr1::enumerate(const graph::Topology& t, const SimState& state, PhilId p,
+                    sim::BranchBuffer& out) const {
   const sim::PhilState& me = state.phil(p);
-  std::vector<Branch> branches;
 
   switch (me.phase) {
     case Phase::kThinking:
-      return think_step(state, p, Phase::kChoose);
+      think_step(state, p, Phase::kChoose, out);
+      return;
 
     case Phase::kChoose: {
       // Step 2: fork := random_choice(left, right).
       for (Side side : {Side::kLeft, Side::kRight}) {
         const double prob = side == Side::kLeft ? config_.p_left : 1.0 - config_.p_left;
         if (prob <= 0.0) continue;
-        SimState next = state;
+        SimState& next =
+            out.add(prob, StepEvent{EventKind::kChose, side, t.fork_of(p, side), 0}, state);
         next.phil(p).phase = Phase::kCommit;
         next.phil(p).committed = side;
-        branches.push_back(
-            Branch{prob, StepEvent{EventKind::kChose, side, t.fork_of(p, side), 0},
-                   std::move(next)});
       }
-      return branches;
+      return;
     }
 
     case Phase::kCommit: {
       // Step 3: atomic test-and-set on the committed fork; busy-wait on failure.
       const ForkId f = t.fork_of(p, me.committed);
-      SimState next = state;
-      if (sim::try_take(next, f, p)) {
+      if (state.fork(f).free()) {
+        SimState& next = out.add(1.0, StepEvent{EventKind::kTookFirst, me.committed, f, 0}, state);
+        sim::try_take(next, f, p);
         next.phil(p).phase = Phase::kTrySecond;
-        branches.push_back(
-            deterministic(std::move(next), StepEvent{EventKind::kTookFirst, me.committed, f, 0}));
       } else {
-        branches.push_back(
-            deterministic(state, StepEvent{EventKind::kBlockedFirst, me.committed, f, 0}));
+        out.add(1.0, StepEvent{EventKind::kBlockedFirst, me.committed, f, 0}, state);
       }
-      return branches;
+      return;
     }
 
     case Phase::kTrySecond: {
       // Step 4: try the other fork; on failure release the first and redraw.
       const ForkId f = t.fork_of(p, me.committed);
       const ForkId g = t.other_fork(p, f);
-      SimState next = state;
-      if (sim::try_take(next, g, p)) {
+      if (state.fork(g).free()) {
+        SimState& next = out.add(1.0, StepEvent{EventKind::kTookSecond, me.committed, g, 0}, state);
+        sim::try_take(next, g, p);
         next.phil(p).phase = Phase::kEating;
-        branches.push_back(
-            deterministic(std::move(next), StepEvent{EventKind::kTookSecond, me.committed, g, 0}));
       } else {
+        SimState& next =
+            out.add(1.0, StepEvent{EventKind::kFailedSecond, me.committed, g, 0}, state);
         sim::release(next, f, p);
         next.phil(p).phase = Phase::kChoose;
-        branches.push_back(
-            deterministic(std::move(next), StepEvent{EventKind::kFailedSecond, me.committed, g, 0}));
       }
-      return branches;
+      return;
     }
 
     case Phase::kEating: {
       // Steps 5-7: finish eating, release both, resume thinking.
-      SimState next = state;
+      SimState& next = out.add(1.0, StepEvent{EventKind::kFinishedEating}, state);
       sim::release(next, t.left_of(p), p);
       sim::release(next, t.right_of(p), p);
       next.phil(p).phase = Phase::kThinking;
-      branches.push_back(deterministic(std::move(next), StepEvent{EventKind::kFinishedEating}));
-      return branches;
+      return;
     }
 
     case Phase::kRegister:

@@ -25,8 +25,9 @@ class Lr1 final : public Algorithm {
 
   std::string name() const override { return "lr1"; }
 
-  std::vector<sim::Branch> step(const graph::Topology& t, const sim::SimState& state,
-                                PhilId p) const override;
+ protected:
+  void enumerate(const graph::Topology& t, const sim::SimState& state, PhilId p,
+                 sim::BranchBuffer& out) const override;
 };
 
 }  // namespace gdp::algos

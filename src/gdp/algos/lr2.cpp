@@ -4,7 +4,6 @@
 
 namespace gdp::algos {
 
-using sim::Branch;
 using sim::EventKind;
 using sim::Phase;
 using sim::SimState;
@@ -23,22 +22,22 @@ void set_request(SimState& state, const graph::Topology& t, ForkId f, PhilId p, 
 
 }  // namespace
 
-std::vector<Branch> Lr2::step(const graph::Topology& t, const SimState& state, PhilId p) const {
+void Lr2::enumerate(const graph::Topology& t, const SimState& state, PhilId p,
+                    sim::BranchBuffer& out) const {
   const sim::PhilState& me = state.phil(p);
-  std::vector<Branch> branches;
 
   switch (me.phase) {
     case Phase::kThinking:
-      return think_step(state, p, Phase::kRegister);
+      think_step(state, p, Phase::kRegister, out);
+      return;
 
     case Phase::kRegister: {
       // Step 2: announce interest on both forks.
-      SimState next = state;
+      SimState& next = out.add(1.0, StepEvent{EventKind::kRegistered}, state);
       set_request(next, t, t.left_of(p), p, true);
       set_request(next, t, t.right_of(p), p, true);
       next.phil(p).phase = Phase::kChoose;
-      branches.push_back(deterministic(std::move(next), StepEvent{EventKind::kRegistered}));
-      return branches;
+      return;
     }
 
     case Phase::kChoose: {
@@ -46,51 +45,47 @@ std::vector<Branch> Lr2::step(const graph::Topology& t, const SimState& state, P
       for (Side side : {Side::kLeft, Side::kRight}) {
         const double prob = side == Side::kLeft ? config_.p_left : 1.0 - config_.p_left;
         if (prob <= 0.0) continue;
-        SimState next = state;
+        SimState& next =
+            out.add(prob, StepEvent{EventKind::kChose, side, t.fork_of(p, side), 0}, state);
         next.phil(p).phase = Phase::kCommit;
         next.phil(p).committed = side;
-        branches.push_back(Branch{prob, StepEvent{EventKind::kChose, side, t.fork_of(p, side), 0},
-                                  std::move(next)});
       }
-      return branches;
+      return;
     }
 
     case Phase::kCommit: {
       // Step 4: take needs the fork free *and* Cond(fork).
       const ForkId f = t.fork_of(p, me.committed);
-      SimState next = state;
-      if (state.fork(f).free() && sim::cond_holds(state, t, f, p) && sim::try_take(next, f, p)) {
+      if (state.fork(f).free() && sim::cond_holds(state, t, f, p)) {
+        SimState& next = out.add(1.0, StepEvent{EventKind::kTookFirst, me.committed, f, 0}, state);
+        sim::try_take(next, f, p);
         next.phil(p).phase = Phase::kTrySecond;
-        branches.push_back(
-            deterministic(std::move(next), StepEvent{EventKind::kTookFirst, me.committed, f, 0}));
       } else {
-        branches.push_back(
-            deterministic(state, StepEvent{EventKind::kBlockedFirst, me.committed, f, 0}));
+        out.add(1.0, StepEvent{EventKind::kBlockedFirst, me.committed, f, 0}, state);
       }
-      return branches;
+      return;
     }
 
     case Phase::kTrySecond: {
       // Step 5: the second fork needs only isFree (no Cond), per Table 2.
       const ForkId f = t.fork_of(p, me.committed);
       const ForkId g = t.other_fork(p, f);
-      SimState next = state;
-      if (sim::try_take(next, g, p)) {
+      if (state.fork(g).free()) {
+        SimState& next = out.add(1.0, StepEvent{EventKind::kTookSecond, me.committed, g, 0}, state);
+        sim::try_take(next, g, p);
         next.phil(p).phase = Phase::kEating;
-        branches.push_back(
-            deterministic(std::move(next), StepEvent{EventKind::kTookSecond, me.committed, g, 0}));
       } else {
+        SimState& next =
+            out.add(1.0, StepEvent{EventKind::kFailedSecond, me.committed, g, 0}, state);
         sim::release(next, f, p);
         next.phil(p).phase = Phase::kChoose;
-        branches.push_back(
-            deterministic(std::move(next), StepEvent{EventKind::kFailedSecond, me.committed, g, 0}));
       }
-      return branches;
+      return;
     }
 
     case Phase::kEating: {
       // Steps 6-10: deregister, sign both guest books, release, think.
-      SimState next = state;
+      SimState& next = out.add(1.0, StepEvent{EventKind::kFinishedEating}, state);
       set_request(next, t, t.left_of(p), p, false);
       set_request(next, t, t.right_of(p), p, false);
       sim::mark_used(next, t, t.left_of(p), p);
@@ -98,8 +93,7 @@ std::vector<Branch> Lr2::step(const graph::Topology& t, const SimState& state, P
       sim::release(next, t.left_of(p), p);
       sim::release(next, t.right_of(p), p);
       next.phil(p).phase = Phase::kThinking;
-      branches.push_back(deterministic(std::move(next), StepEvent{EventKind::kFinishedEating}));
-      return branches;
+      return;
     }
 
     case Phase::kRenumber:

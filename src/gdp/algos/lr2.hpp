@@ -38,8 +38,9 @@ class Lr2 final : public Algorithm {
   std::string name() const override { return "lr2"; }
   bool uses_books() const override { return true; }
 
-  std::vector<sim::Branch> step(const graph::Topology& t, const sim::SimState& state,
-                                PhilId p) const override;
+ protected:
+  void enumerate(const graph::Topology& t, const sim::SimState& state, PhilId p,
+                 sim::BranchBuffer& out) const override;
 };
 
 }  // namespace gdp::algos

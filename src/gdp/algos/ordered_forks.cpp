@@ -4,70 +4,62 @@
 
 namespace gdp::algos {
 
-using sim::Branch;
 using sim::EventKind;
 using sim::Phase;
 using sim::SimState;
 using sim::StepEvent;
 
-std::vector<Branch> OrderedForks::step(const graph::Topology& t, const SimState& state,
-                                       PhilId p) const {
+void OrderedForks::enumerate(const graph::Topology& t, const SimState& state, PhilId p,
+                             sim::BranchBuffer& out) const {
   const sim::PhilState& me = state.phil(p);
-  std::vector<Branch> branches;
 
   switch (me.phase) {
     case Phase::kThinking:
-      return think_step(state, p, Phase::kChoose);
+      think_step(state, p, Phase::kChoose, out);
+      return;
 
     case Phase::kChoose: {
       // First fork = the higher id (the paper's wording).
-      const Side side =
-          t.left_of(p) > t.right_of(p) ? Side::kLeft : Side::kRight;
-      SimState next = state;
+      const Side side = t.left_of(p) > t.right_of(p) ? Side::kLeft : Side::kRight;
+      SimState& next =
+          out.add(1.0, StepEvent{EventKind::kChose, side, t.fork_of(p, side), 0}, state);
       next.phil(p).phase = Phase::kCommit;
       next.phil(p).committed = side;
-      branches.push_back(deterministic(
-          std::move(next), StepEvent{EventKind::kChose, side, t.fork_of(p, side), 0}));
-      return branches;
+      return;
     }
 
     case Phase::kCommit: {
       const ForkId f = t.fork_of(p, me.committed);
-      SimState next = state;
-      if (sim::try_take(next, f, p)) {
+      if (state.fork(f).free()) {
+        SimState& next = out.add(1.0, StepEvent{EventKind::kTookFirst, me.committed, f, 0}, state);
+        sim::try_take(next, f, p);
         next.phil(p).phase = Phase::kTrySecond;
-        branches.push_back(
-            deterministic(std::move(next), StepEvent{EventKind::kTookFirst, me.committed, f, 0}));
       } else {
-        branches.push_back(
-            deterministic(state, StepEvent{EventKind::kBlockedFirst, me.committed, f, 0}));
+        out.add(1.0, StepEvent{EventKind::kBlockedFirst, me.committed, f, 0}, state);
       }
-      return branches;
+      return;
     }
 
     case Phase::kTrySecond: {
       // Hold-and-wait: keep the first fork and spin until the second frees.
       const ForkId f = t.fork_of(p, me.committed);
       const ForkId g = t.other_fork(p, f);
-      SimState next = state;
-      if (sim::try_take(next, g, p)) {
+      if (state.fork(g).free()) {
+        SimState& next = out.add(1.0, StepEvent{EventKind::kTookSecond, me.committed, g, 0}, state);
+        sim::try_take(next, g, p);
         next.phil(p).phase = Phase::kEating;
-        branches.push_back(
-            deterministic(std::move(next), StepEvent{EventKind::kTookSecond, me.committed, g, 0}));
       } else {
-        branches.push_back(
-            deterministic(state, StepEvent{EventKind::kBlockedSecond, me.committed, g, 0}));
+        out.add(1.0, StepEvent{EventKind::kBlockedSecond, me.committed, g, 0}, state);
       }
-      return branches;
+      return;
     }
 
     case Phase::kEating: {
-      SimState next = state;
+      SimState& next = out.add(1.0, StepEvent{EventKind::kFinishedEating}, state);
       sim::release(next, t.left_of(p), p);
       sim::release(next, t.right_of(p), p);
       next.phil(p).phase = Phase::kThinking;
-      branches.push_back(deterministic(std::move(next), StepEvent{EventKind::kFinishedEating}));
-      return branches;
+      return;
     }
 
     case Phase::kRegister:

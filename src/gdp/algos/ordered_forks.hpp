@@ -24,8 +24,9 @@ class OrderedForks final : public Algorithm {
   std::string name() const override { return "ordered"; }
   bool symmetric() const override { return false; }
 
-  std::vector<sim::Branch> step(const graph::Topology& t, const sim::SimState& state,
-                                PhilId p) const override;
+ protected:
+  void enumerate(const graph::Topology& t, const sim::SimState& state, PhilId p,
+                 sim::BranchBuffer& out) const override;
 };
 
 }  // namespace gdp::algos

@@ -25,10 +25,9 @@ class Ticket final : public Algorithm {
   std::string name() const override { return "ticket"; }
   bool fully_distributed() const override { return false; }
 
-  std::vector<sim::Branch> step(const graph::Topology& t, const sim::SimState& state,
-                                PhilId p) const override;
-
  protected:
+  void enumerate(const graph::Topology& t, const sim::SimState& state, PhilId p,
+                 sim::BranchBuffer& out) const override;
   void init_aux(sim::SimState& state, const graph::Topology& t) const override;
 };
 

@@ -161,19 +161,25 @@ void KeyCodec::encode(const sim::SimState& state, PackedKey& out) const {
 sim::SimState KeyCodec::decode(const PackedKey& key) const {
   GDP_CHECK_MSG(valid(), "decode on an unset KeyCodec");
   GDP_CHECK_MSG(key.words() == words_, "key width " << key.words() << " != layout " << words_);
-
   sim::SimState state;
+  decode(key.data(), state);
+  return state;
+}
+
+void KeyCodec::decode(const std::uint64_t* w, sim::SimState& state) const {
+  GDP_DCHECK(valid());
   state.forks.resize(static_cast<std::size_t>(num_forks_));
   state.phils.resize(static_cast<std::size_t>(num_phils_));
   state.aux.resize(static_cast<std::size_t>(aux_words_));
 
-  const std::uint64_t* w = key.data();
   std::size_t bit = 0;
 
+  // Fields the layout drops are written too (as the constants encode()
+  // requires), so a reused state carries nothing over from its last key.
   for (ForkId f = 0; f < num_forks_; ++f) {
     sim::ForkState& fork = state.fork(f);
     fork.holder = static_cast<PhilId>(get_bits(w, bit, holder_bits_)) - 1;
-    if (numbers_) fork.nr = static_cast<std::uint16_t>(get_bits(w, bit, nr_bits_));
+    fork.nr = numbers_ ? static_cast<std::uint16_t>(get_bits(w, bit, nr_bits_)) : 0;
     if (books_) {
       const unsigned deg = degree_[static_cast<std::size_t>(f)];
       fork.requests = get_bits(w, bit, deg);
@@ -182,18 +188,21 @@ sim::SimState KeyCodec::decode(const PackedKey& key) const {
       for (std::uint8_t& rank : fork.use_rank) {
         rank = static_cast<std::uint8_t>(get_bits(w, bit, rank_width));
       }
+    } else {
+      fork.requests = 0;
+      fork.use_rank.clear();
     }
   }
 
   for (sim::PhilState& phil : state.phils) {
     phil.phase = static_cast<sim::Phase>(get_bits(w, bit, phase_bits()));
     phil.committed = static_cast<Side>(get_bits(w, bit, 1));
+    phil.scratch = 0;
   }
 
   for (std::int32_t& word : state.aux) {
     word = static_cast<std::int32_t>(get_bits(w, bit, aux_bits_)) - 1;
   }
-  return state;
 }
 
 }  // namespace gdp::mdp

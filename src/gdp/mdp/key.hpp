@@ -48,7 +48,7 @@ using StateId = std::uint32_t;
 
 /// A fixed-width bit-packed state key: `words()` 64-bit words, value
 /// semantics, word-wise equality. Keys up to kInlineWords live inline (no
-/// heap traffic in the intern tables); wider layouts — e.g. books at high
+/// heap traffic in a StateIndex); wider layouts — e.g. books at high
 /// degree — spill to a heap block of exactly words() words.
 class PackedKey {
  public:
@@ -96,7 +96,7 @@ class PackedKey {
 
   /// Overwrites this key with `words` words copied from `w` — the
   /// reconstruction path for keys stored as flat word runs (the level
-  /// explorer's per-level successor buffers, the chunked store's key runs).
+  /// explorer's key arena, the chunked store's key runs).
   void assign(const std::uint64_t* w, std::size_t words) {
     resize(words);
     std::uint64_t* d = data();
@@ -144,13 +144,19 @@ class PackedKey {
   };
 };
 
-/// Word-wise splitmix fold; replaces the byte-wise FNV of the old keys.
+/// Word-wise splitmix fold over a key's `words` words; replaces the
+/// byte-wise FNV of the old keys. Every output bit is mixed, so the
+/// explorer's intern table takes its shard from the high bits and its slot
+/// from the low bits of one hash.
+inline std::uint64_t key_hash(const std::uint64_t* w, std::size_t words) {
+  std::uint64_t h = 0x9e3779b97f4a7c15ULL + words;
+  for (std::size_t i = 0; i < words; ++i) h = rng::splitmix64_once(h ^ w[i]);
+  return h;
+}
+
 struct PackedKeyHash {
   std::size_t operator()(const PackedKey& key) const {
-    std::uint64_t h = 0x9e3779b97f4a7c15ULL + key.words();
-    const std::uint64_t* w = key.data();
-    for (std::size_t i = 0; i < key.words(); ++i) h = rng::splitmix64_once(h ^ w[i]);
-    return static_cast<std::size_t>(h);
+    return static_cast<std::size_t>(key_hash(key.data(), key.words()));
   }
 };
 
@@ -193,6 +199,10 @@ class KeyCodec {
 
   /// Exact inverse of encode() on keys it produced.
   sim::SimState decode(const PackedKey& key) const;
+  /// decode() of the key_words() words at `words` into `out`, overwriting
+  /// every field and reusing out's storage once it has this layout's shape —
+  /// the explorer decodes each frontier state into one scratch state.
+  void decode(const std::uint64_t* words, sim::SimState& out) const;
 
  private:
   int num_forks_ = 0;

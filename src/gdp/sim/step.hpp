@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "gdp/common/ids.hpp"
@@ -49,8 +50,46 @@ struct Branch {
   SimState next;
 };
 
-/// Convenience: a single deterministic branch.
-Branch deterministic(SimState next, StepEvent event);
+/// A reusable list of branches: Algorithm::step_into writes into it. A slot
+/// keeps its SimState storage when the buffer is cleared, so a caller that
+/// reuses one buffer (the MDP explorer keeps one per work block) copies
+/// successor states into storage that is already the right shape instead of
+/// allocating a fresh vector of fresh states per step.
+class BranchBuffer {
+ public:
+  void clear() { size_ = 0; }
+  std::size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  const Branch& operator[](std::size_t i) const { return slots_[i]; }
+  const Branch* begin() const { return slots_.data(); }
+  const Branch* end() const { return slots_.data() + size_; }
+
+  /// Appends a branch whose next state is a copy of `from` and returns that
+  /// state for the step to mutate. Every field of a reused slot is
+  /// overwritten. The reference is valid until the next add().
+  SimState& add(double prob, StepEvent event, const SimState& from) {
+    if (size_ == slots_.size()) {
+      slots_.push_back(Branch{prob, event, from});
+    } else {
+      Branch& b = slots_[size_];
+      b.prob = prob;
+      b.event = event;
+      b.next = from;
+    }
+    return slots_[size_++].next;
+  }
+
+  /// Moves the live branches out and leaves the buffer empty.
+  std::vector<Branch> take() {
+    slots_.resize(size_);
+    size_ = 0;
+    return std::move(slots_);
+  }
+
+ private:
+  std::vector<Branch> slots_;
+  std::size_t size_ = 0;
+};
 
 /// True if every branch leaves the configuration unchanged (a pure busy-wait
 /// step). Used by the engine's deadlock detector.

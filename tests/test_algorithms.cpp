@@ -196,6 +196,56 @@ TEST(ThinkModes, CoinModeBranches) {
   EXPECT_EQ(branches[1].event.kind, EventKind::kStillThinking);
 }
 
+// step_into reuses the caller's buffer; step() is a wrapper over a fresh
+// one. On reachable states of every factory algorithm, step_into into one
+// deliberately dirty buffer — reused across algorithms and topologies of
+// different shapes, so every slot holds stale states, events and
+// probabilities — must equal step() branch for branch.
+TEST(StepInto, MatchesStepOnADirtyReusedBuffer) {
+  sim::BranchBuffer buffer;
+  {
+    // Pre-dirty: wide states with every field set, including ones no
+    // algorithm writes on these topologies (scratch, aux, guest books).
+    SimState junk;
+    junk.forks.assign(9, sim::ForkState{3, 7, 0b101, {1, 2, 3}});
+    junk.phils.assign(9, sim::PhilState{Phase::kEating, Side::kRight, 5});
+    junk.aux.assign(4, 2);
+    for (int i = 0; i < 12; ++i) {
+      buffer.add(0.125, sim::StepEvent{EventKind::kRenumbered, Side::kRight, 4, 9}, junk);
+    }
+  }
+  const graph::Topology topologies[] = {graph::classic_ring(4), graph::star(5),
+                                        graph::parallel_arcs(3)};
+  rng::Rng rng(2024);
+  for (const std::string& name : algorithm_names()) {
+    const auto algo = make_algorithm(name);
+    for (const graph::Topology& t : topologies) {
+      if (name == "colored" && t.name() != graph::classic_ring(4).name()) continue;
+      SCOPED_TRACE(name + " on " + t.name());
+      SimState s = algo->initial_state(t);
+      for (int step = 0; step < 150; ++step) {
+        for (PhilId p = 0; p < t.num_phils(); ++p) {
+          const std::vector<Branch> expected = algo->step(t, s, p);
+          algo->step_into(t, s, p, buffer);
+          ASSERT_EQ(buffer.size(), expected.size()) << "phil " << p << " at step " << step;
+          for (std::size_t i = 0; i < expected.size(); ++i) {
+            const Branch& got = buffer[i];
+            EXPECT_EQ(got.prob, expected[i].prob);
+            EXPECT_EQ(got.event.kind, expected[i].event.kind);
+            EXPECT_EQ(got.event.side, expected[i].event.side);
+            EXPECT_EQ(got.event.fork, expected[i].event.fork);
+            EXPECT_EQ(got.event.value, expected[i].event.value);
+            ASSERT_TRUE(got.next == expected[i].next)
+                << "phil " << p << " branch " << i << " at step " << step;
+          }
+        }
+        const PhilId p = rng.uniform_int(0, t.num_phils() - 1);
+        s = sim::sample_branch(algo->step(t, s, p), rng).next;
+      }
+    }
+  }
+}
+
 // --- Cross-algorithm contract, parameterized over (algorithm, topology). ---
 
 struct ContractCase {

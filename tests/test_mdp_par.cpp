@@ -9,12 +9,15 @@
 #include <cstring>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "gdp/algos/algorithm.hpp"
 #include "gdp/common/check.hpp"
 #include "gdp/graph/builders.hpp"
+#include "gdp/mdp/level_explore.hpp"
 #include "gdp/mdp/par/par.hpp"
+#include "gdp/sim/state.hpp"
 
 namespace gdp::mdp {
 namespace {
@@ -338,6 +341,194 @@ TEST(ParExplore, DefaultOptionsUseSequentialFallbacksOnTinyModels) {
   expect_models_bit_identical(seq, par_model, 4);
   expect_mecs_identical(maximal_end_components(seq),
                         par::maximal_end_components(par_model, ~std::uint64_t{0}, opts));
+}
+
+// --- The parallel interner against a reference interner. ---
+//
+// The reference is the historical sequential explorer: one
+// std::unordered_map from packed key to id, filled in (state, philosopher,
+// branch) order, level by level with the same level-boundary cap. The
+// explorer's parallel deterministic intern must reproduce its keys, eater
+// masks, CSR offsets and outcome bytes exactly, at every thread count.
+
+struct ReferenceModel {
+  std::vector<std::uint64_t> keys;  // key_words() words per state
+  std::vector<std::uint64_t> eaters;
+  std::vector<std::uint64_t> offsets{0};  // expanded states' rows only
+  std::vector<Outcome> outcomes;
+  std::size_t expanded = 0;
+};
+
+ReferenceModel reference_explore(const algos::Algorithm& algo, const graph::Topology& t,
+                                 std::size_t max_states) {
+  const KeyCodec codec(algo, t);
+  const std::size_t kw = codec.key_words();
+  ReferenceModel ref;
+  std::unordered_map<PackedKey, StateId, PackedKeyHash> index;
+  auto intern = [&](const sim::SimState& state) {
+    const PackedKey key = codec.encode(state);
+    const auto [it, inserted] = index.try_emplace(key, static_cast<StateId>(ref.eaters.size()));
+    if (inserted) {
+      ref.keys.insert(ref.keys.end(), key.data(), key.data() + kw);
+      ref.eaters.push_back(sim::eater_mask(state));
+    }
+    return it->second;
+  };
+  intern(algo.initial_state(t));
+  while (ref.expanded < ref.eaters.size() && ref.eaters.size() < max_states) {
+    const std::size_t level_end = ref.eaters.size();
+    for (std::size_t s = ref.expanded; s < level_end; ++s) {
+      PackedKey key;
+      key.assign(ref.keys.data() + s * kw, kw);
+      const sim::SimState state = codec.decode(key);
+      for (PhilId p = 0; p < t.num_phils(); ++p) {
+        for (const sim::Branch& b : algo.step(t, state, p)) {
+          const StateId next = intern(b.next);
+          ref.outcomes.push_back(Outcome{static_cast<float>(b.prob), next});
+        }
+        ref.offsets.push_back(ref.outcomes.size());
+      }
+    }
+    ref.expanded = level_end;
+  }
+  return ref;
+}
+
+/// Explores with the level explorer at `threads` and compares every array
+/// byte for byte against `ref`.
+void expect_matches_reference(const algos::Algorithm& algo, const graph::Topology& t,
+                              std::size_t max_states, int threads, const ReferenceModel& ref) {
+  SCOPED_TRACE("threads=" + std::to_string(threads));
+  detail::LevelExplorer explorer(algo, t);
+  explorer.run(max_states, threads);
+  std::vector<std::uint64_t> keys;
+  const Model model = explorer.take_model(nullptr, &keys);
+  ASSERT_EQ(model.num_states(), ref.eaters.size());
+  ASSERT_EQ(keys, ref.keys);
+  const std::size_t n = static_cast<std::size_t>(t.num_phils());
+  const Outcome* base = model.row(0, 0).first;
+  for (StateId s = 0; s < model.num_states(); ++s) {
+    ASSERT_EQ(model.eaters(s), ref.eaters[s]) << "state " << s;
+    ASSERT_EQ(model.frontier(s), s >= ref.expanded) << "state " << s;
+    for (std::size_t p = 0; p < n; ++p) {
+      const auto [begin, end] = model.row(s, static_cast<int>(p));
+      const std::size_t row = s * n + p;
+      const std::uint64_t ref_begin = s < ref.expanded ? ref.offsets[row] : ref.outcomes.size();
+      const std::uint64_t ref_end = s < ref.expanded ? ref.offsets[row + 1] : ref.outcomes.size();
+      ASSERT_EQ(static_cast<std::uint64_t>(begin - base), ref_begin) << "row " << row;
+      ASSERT_EQ(static_cast<std::uint64_t>(end - base), ref_end) << "row " << row;
+    }
+  }
+  ASSERT_EQ(std::memcmp(base, ref.outcomes.data(), ref.outcomes.size() * sizeof(Outcome)), 0);
+}
+
+std::vector<int> intern_thread_counts() {
+  const int hw = static_cast<int>(std::thread::hardware_concurrency());
+  std::vector<int> counts{1, 2, 3, 4};
+  if (hw > 4) counts.push_back(hw);
+  return counts;
+}
+
+TEST(ParallelIntern, MatchesReferenceInternerAcrossThreadCounts) {
+  // Caps keep every model a few thousand states: past kShards * kMinSlots / 2,
+  // so every run grows its table mid-run, and several levels wide enough to
+  // split into many blocks.
+  constexpr std::size_t kCap = 6'000;
+  const graph::Topology topologies[] = {graph::classic_ring(4), graph::ring_with_chord(4),
+                                        graph::parallel_arcs(4)};
+  for (const char* name : {"lr1", "lr2", "gdp1", "gdp2", "ticket"}) {
+    const auto algo = algos::make_algorithm(name);
+    for (const graph::Topology& t : topologies) {
+      SCOPED_TRACE(std::string(name) + " on " + t.name());
+      const ReferenceModel ref = reference_explore(*algo, t, kCap);
+      for (const int threads : intern_thread_counts()) {
+        expect_matches_reference(*algo, t, kCap, threads, ref);
+      }
+    }
+  }
+}
+
+TEST(ParallelIntern, TableGrowsMidRun) {
+  // Uncapped lr2 on parallel_arcs(3): 17k states, an average shard holds
+  // over 4 * kMinSlots keys, so shards rehash in several levels' publish
+  // steps.
+  const auto algo = algos::make_algorithm("lr2");
+  const auto t = graph::parallel_arcs(3);
+  constexpr std::size_t kNoCap = ~std::size_t{0};
+  const ReferenceModel ref = reference_explore(*algo, t, kNoCap);
+  ASSERT_GT(ref.eaters.size(), 4 * detail::InternTable::kShards * detail::InternTable::kMinSlots);
+  for (const int threads : intern_thread_counts()) {
+    expect_matches_reference(*algo, t, kNoCap, threads, ref);
+  }
+}
+
+TEST(ParallelIntern, WideBookKeysSpillPastTheInlineWords) {
+  // lr2 on a star: the center fork's guest book needs degree * (1 +
+  // bit_width(degree)) bits, so the key outgrows PackedKey's inline words
+  // and the arena holds multi-word keys.
+  const auto algo = algos::make_algorithm("lr2");
+  const auto t = graph::star(16);
+  ASSERT_GT(KeyCodec(*algo, t).key_words(), PackedKey::kInlineWords);
+  constexpr std::size_t kCap = 3'000;
+  const ReferenceModel ref = reference_explore(*algo, t, kCap);
+  for (const int threads : intern_thread_counts()) {
+    expect_matches_reference(*algo, t, kCap, threads, ref);
+  }
+}
+
+TEST(ParallelIntern, InternTableSizeIsAPureFunctionOfItsCounts) {
+  detail::InternTable table;
+  table.assign(2, {});
+  constexpr std::size_t kKeys = 20'000;
+  std::vector<std::size_t> per_shard(detail::InternTable::kShards, 0);
+  for (std::size_t i = 0; i < kKeys; ++i) {
+    const StateId id = table.grow(1);
+    ASSERT_EQ(id, i);
+    std::uint64_t* key = table.mutable_key(id);
+    key[0] = i * 0x9e3779b97f4a7c15ULL;
+    key[1] = ~i;
+    const std::uint64_t h = key_hash(key, 2);
+    ASSERT_EQ(table.find(key, h), detail::kNoState);
+    table.insert(id, h);
+    ++per_shard[detail::InternTable::shard_of(h)];
+  }
+  for (std::size_t i = 0; i < kKeys; ++i) {
+    const std::uint64_t* key = table.key(static_cast<StateId>(i));
+    ASSERT_EQ(table.find(key, key_hash(key, 2)), i);
+  }
+  const std::uint64_t absent[2] = {1, 2};
+  EXPECT_EQ(table.find(absent, key_hash(absent, 2)), detail::kNoState);
+
+  // Every shard sits at the smallest power-of-two slot count that keeps
+  // its load <= 1/2: the footprint is a function of the counts alone.
+  std::size_t slots = 0;
+  for (const std::size_t c : per_shard) {
+    std::size_t shard_slots = detail::InternTable::kMinSlots;
+    while (shard_slots < 2 * c) shard_slots *= 2;
+    slots += shard_slots;
+  }
+  EXPECT_EQ(table.bytes(), kKeys * 2 * sizeof(std::uint64_t) + slots * sizeof(StateId));
+
+  // Re-indexing the same arena reproduces the footprint.
+  std::vector<std::uint64_t> arena = table.take_arena();
+  detail::InternTable rebuilt;
+  rebuilt.assign(2, std::move(arena));
+  EXPECT_EQ(rebuilt.bytes(), kKeys * 2 * sizeof(std::uint64_t) + slots * sizeof(StateId));
+}
+
+TEST(ParallelIntern, RefusesIdSpaceOverflow) {
+  // Ids are 32-bit and kNoState marks empty slots, so the largest run has
+  // kNoState states (ids 0 .. kNoState - 1).
+  EXPECT_EQ(detail::reserve_id_range(10, 5), 10u);
+  EXPECT_EQ(detail::reserve_id_range(detail::kNoState - 5, 5), detail::kNoState - 5);
+  EXPECT_THROW(detail::reserve_id_range(detail::kNoState - 5, 6), PreconditionError);
+  EXPECT_THROW(detail::reserve_id_range(detail::kNoState, 1), PreconditionError);
+  try {
+    detail::reserve_id_range(std::size_t{1} << 32, 1);
+    FAIL() << "no throw";
+  } catch (const PreconditionError& e) {
+    EXPECT_NE(std::string(e.what()).find("4294967296"), std::string::npos) << e.what();
+  }
 }
 
 }  // namespace

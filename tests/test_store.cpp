@@ -32,6 +32,7 @@
 #include "gdp/common/check.hpp"
 #include "gdp/algos/algorithm.hpp"
 #include "gdp/graph/builders.hpp"
+#include "gdp/mdp/level_explore.hpp"
 #include "gdp/mdp/store/store.hpp"
 #include "gdp/obs/obs.hpp"
 
@@ -223,6 +224,47 @@ TEST(Store, FingerprintIsChunkingIndependent) {
   EXPECT_EQ(base.fingerprint(), fp);
 }
 
+// A resume whose first level outgrows the restored intern table. restore()
+// indexes the checkpoint's keys into a table sized for exactly those keys;
+// the next level almost doubles the state count, so shards must rehash in
+// the middle of the first resumed level's publish step. The resumed model
+// still matches the one-shot run at every thread count.
+TEST(Store, ResumeFirstLevelGrowsTheInternTable) {
+  const ScratchDir scratch("resume_grow");
+  const auto algo = algos::make_algorithm("gdp2");
+  const auto t = graph::ring_with_chord(4);
+  for (int threads : thread_counts()) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    par::CheckOptions opts;
+    opts.threads = threads;
+    opts.max_states = 4'001;
+    const ChunkedModel capped = explore(*algo, t, suite_options(scratch), opts);
+    ASSERT_TRUE(capped.truncated());
+    const std::string path = scratch.path("grow.gdpstore");
+    capped.save_checkpoint(path);
+    const ChunkedModel loaded = ChunkedModel::load_checkpoint(*algo, t, path);
+
+    // One level past the checkpoint: the first level boundary at or above
+    // the cap is the end of the first resumed level.
+    opts.max_states = loaded.num_states() + 1;
+    const ChunkedModel resumed = resume(*algo, t, loaded, suite_options(scratch), opts);
+    const ChunkedModel one_shot = explore(*algo, t, suite_options(scratch), opts);
+    EXPECT_EQ(resumed.num_states(), one_shot.num_states());
+    EXPECT_EQ(resumed.fingerprint(), one_shot.fingerprint());
+
+    // A table's slot count is a pure function of its per-shard key counts
+    // (test_mdp_par pins that), so rebuilding one from each model's keys
+    // gives the explorer's table before and after the level.
+    const std::size_t kw = loaded.codec().key_words();
+    auto slot_bytes = [kw](const ChunkedModel& model) {
+      mdp::detail::InternTable table;
+      table.assign(kw, model.keys());
+      return table.bytes() - model.num_states() * kw * sizeof(std::uint64_t);
+    };
+    EXPECT_GT(slot_bytes(resumed), slot_bytes(loaded));
+  }
+}
+
 // --- spill -----------------------------------------------------------------
 
 TEST(Store, SpillPreservesEveryObservation) {
@@ -254,10 +296,13 @@ TEST(Store, SpillPreservesEveryObservation) {
   expect_matches_model(spilled, model);
 
   // Keys survive the spill too (the resume path reads them from chunks).
-  const std::vector<PackedKey> keys = spilled.keys();
-  ASSERT_EQ(keys.size(), model.num_states());
+  const std::vector<std::uint64_t> keys = spilled.keys();
+  const std::size_t kw = spilled.codec().key_words();
+  ASSERT_EQ(keys.size(), model.num_states() * kw);
   for (StateId s = 0; s < model.num_states(); ++s) {
-    ASSERT_EQ(spilled.key(s), keys[s]) << "state " << s;
+    PackedKey key;
+    key.assign(keys.data() + std::size_t{s} * kw, kw);
+    ASSERT_EQ(spilled.key(s), key) << "state " << s;
   }
 }
 
