@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # CI entry point.
-# Usage: ./ci.sh [--no-sanitize]   — full build+test matrix
+# Usage: ./ci.sh [--no-sanitize]   — perfbench unit tests, then the full
+#                                    build+test matrix
 #        ./ci.sh lint              — static-analysis gate only:
 #                                    gdp_lint self-test + repo scan, and the
 #                                    Clang -Werror=thread-safety build when a
@@ -91,6 +92,11 @@ fi
 
 SANITIZE=1
 [[ "${1:-}" == "--no-sanitize" ]] && SANITIZE=0
+
+# The benchmark's own tests (the comparer and the pin check): stdlib Python,
+# no build needed. No bytecode is written, so perfbench/ stays as committed.
+echo "=== perfbench: unit tests ==="
+PYTHONDONTWRITEBYTECODE=1 python3 -m unittest discover -s perfbench -p 'test_*.py'
 
 run_pass() {
   local name="$1"; shift

@@ -122,24 +122,28 @@ void parallel_for(std::size_t total, int threads, const std::function<void(std::
   });
 }
 
+void parallel_ranges(std::size_t total, int threads,
+                     const std::function<void(std::size_t, std::size_t)>& body) {
+  const std::size_t ranges = (total + kRangeSize - 1) / kRangeSize;
+  if (ranges <= 1 || effective_threads(threads, ranges) <= 1) {
+    for (std::size_t lo = 0; lo < total; lo += kRangeSize) {
+      body(lo, std::min(total, lo + kRangeSize));
+    }
+    return;
+  }
+  parallel_for(ranges, threads, [&](std::uint32_t r) {
+    const std::size_t lo = std::size_t{r} * kRangeSize;
+    body(lo, std::min(total, lo + kRangeSize));
+  });
+}
+
 double parallel_chunk_max(std::size_t total, int threads,
                           const std::function<double(std::size_t, std::size_t)>& body) {
-  constexpr std::size_t kChunk = 4'096;  // boundaries depend on total only
-  if (total == 0) return -std::numeric_limits<double>::infinity();
-  const std::size_t chunks = (total + kChunk - 1) / kChunk;
-  if (chunks == 1 || effective_threads(threads, chunks) <= 1) {
-    double best = -std::numeric_limits<double>::infinity();
-    for (std::size_t c = 0; c < chunks; ++c) {
-      best = std::max(best, body(c * kChunk, std::min(total, (c + 1) * kChunk)));
-    }
-    return best;
-  }
-  std::vector<double> partial(chunks, -std::numeric_limits<double>::infinity());
-  parallel_for(chunks, threads, [&](std::uint32_t c) {
-    partial[c] = body(std::size_t{c} * kChunk, std::min(total, (std::size_t{c} + 1) * kChunk));
-  });
-  double best = partial[0];
-  for (std::size_t c = 1; c < chunks; ++c) best = std::max(best, partial[c]);
+  std::vector<double> partial((total + kRangeSize - 1) / kRangeSize);
+  parallel_ranges(total, threads,
+                  [&](std::size_t lo, std::size_t hi) { partial[lo / kRangeSize] = body(lo, hi); });
+  double best = -std::numeric_limits<double>::infinity();
+  for (const double p : partial) best = std::max(best, p);
   return best;
 }
 

@@ -121,12 +121,21 @@ void run_workers(unsigned threads, const std::function<void(unsigned)>& body);
 /// fn must be safe to call concurrently for distinct ids. total < 2^32.
 void parallel_for(std::size_t total, int threads, const std::function<void(std::uint32_t)>& fn);
 
+/// Items per range of parallel_ranges.
+inline constexpr std::size_t kRangeSize = 4'096;
+
+/// Runs body(lo, hi) for every kRangeSize-aligned range [lo, hi) of
+/// [0, total), so range boundaries depend only on `total`, never on the
+/// worker count: as parallel_for tasks, or in ascending order on the
+/// calling thread when there is one range or one worker.
+void parallel_ranges(std::size_t total, int threads,
+                     const std::function<void(std::size_t, std::size_t)>& body);
+
 /// Deterministic parallel max-reduction over contiguous index chunks:
-/// partitions [0, total) into fixed chunks (boundaries depend only on
-/// `total`, never on the worker count), runs body(lo, hi) per chunk on the
-/// pool, and folds the per-chunk results in ascending chunk order. Because
-/// IEEE max is associative and commutative and the fold order is pinned,
-/// the result is bit-identical at every thread count — the reduction the
+/// runs body(lo, hi) per parallel_ranges range and folds the per-range
+/// results in ascending range order. Because IEEE max is associative and
+/// commutative and the fold order is pinned, the result is bit-identical
+/// at every thread count — the reduction the
 /// quantitative checker's Bellman sweeps use for residuals and interval
 /// widths. Returns -inf for total == 0.
 double parallel_chunk_max(std::size_t total, int threads,

@@ -1,6 +1,6 @@
 // Parallel maximal-end-component decomposition — Model instantiation.
 //
-// The fork/join FW-BW machinery lives in par/end_components_impl.hpp as a
+// The decomposition lives in par/end_components_impl.hpp as a
 // template over the Model read API; this translation unit instantiates it
 // for the contiguous Model. store.cpp instantiates the same definition for
 // store::ChunkedModel (the chunk-native verdict path), which is what makes

@@ -5,34 +5,50 @@
 // must produce components and reachable sets byte-identical to the
 // contiguous path without materializing one).
 //
-// Same refinement fixpoint as the sequential end_components_impl.hpp — split
-// the candidate fragment into SCCs of the usable-action graph, drop states
-// with no action staying inside their own SCC, repeat — but each round's SCC
-// decomposition runs fork/join: forward-backward (FW-BW) reachability from
-// a pivot splits a region into the pivot's SCC plus three independent
-// sub-regions processed in parallel, and regions below a size threshold run
-// the classic sequential Tarjan instead of splitting further.
+// Same refinement fixpoint as the sequential end_components_impl.hpp: split
+// the candidate fragment into SCCs of the usable-action graph (an action is
+// usable when every outcome stays in its state's block), drop states with no
+// action inside their own SCC, repeat. Three things make it parallel:
 //
-// Determinism: SCC labels are canonical (the smallest state id of the
-// component), the survival filter is two-phase (reads a snapshot, then
-// applies), and the final collection scans states in ascending id exactly
-// like the sequential implementation — so the returned components (sets,
-// order, philosopher masks) are identical to mdp::maximal_end_components
-// for every thread count. Candidate fragments below seq_mec_threshold are
-// handed to the sequential decomposition outright.
+//   * Every pass over states runs as fixed 4,096-state range tasks that
+//     read the model in ascending order (the chunked store streams each
+//     chunk in once per pass), and all per-state arrays are 32-bit.
+//   * A large block is first trimmed in parallel, as in the first step of
+//     Multistep SCC (Slota, Rajamanickam & Madduri, IPDPS 2014): a
+//     level-synchronous peel, with atomic degree counters, of the states
+//     with no live predecessor or successor. Tarjan splits what is left.
+//     Multistep's later steps (a forward-backward pass from a pivot, then
+//     min-label coloring) are left out: on the verdict models of the
+//     paper's algorithms — deep DAGs of small SCCs — the pivot's SCC is
+//     tiny and a coloring round peels a thin layer, and trim followed
+//     directly by Tarjan measured no slower than either.
+//   * Later rounds re-split only the blocks in which some action stopped
+//     being usable (Chatterjee & Henzinger, SODA 2011): a block whose
+//     usable actions all stay inside it is strongly connected in its own
+//     usable graph and every member keeps an action, so it is already a
+//     MEC and drops out. The dirty blocks are bucketed by a counting sort
+//     on their label; small ones run Tarjan as parallel tasks, large ones
+//     are trimmed and split again.
+//
+// Determinism: an SCC label is only bookkeeping inside one round (any
+// member's index); the labels that persist are the blocks', each the
+// smallest surviving member's state id, and the final collection orders
+// components by it, which is exactly the first-encounter order of the
+// sequential ascending scan. So the returned components (sets, order,
+// philosopher masks) are identical to mdp::maximal_end_components for every
+// thread count; scheduling only changes traversal order inside a phase.
+// Candidate fragments below seq_mec_threshold, and threads = 1, run the
+// sequential decomposition outright.
 #pragma once
 
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <limits>
-#include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "gdp/common/check.hpp"
+#include "gdp/common/counting_sort.hpp"
 #include "gdp/common/pool.hpp"
-#include "gdp/common/thread_annotations.hpp"
 #include "gdp/mdp/end_components_impl.hpp"
 #include "gdp/mdp/fair_progress_impl.hpp"
 #include "gdp/mdp/par/par.hpp"
@@ -41,26 +57,19 @@
 
 namespace gdp::mdp::par::detail {
 
-inline constexpr std::int64_t kRemoved = -1;
-
-/// Timing-plane counters for the FW-BW machinery. Given the parallel path,
-/// how each region is processed (trim, pivot = smallest-index member, split
-/// or Tarjan) is a pure function of the region's states and the
-/// usable-action graph — but the seq-vs-par dispatch itself keys on the
-/// requested worker count, and the sequential fallback (workers <= 1 or a
-/// small candidate set) performs none of this work and records zeros. The
-/// totals therefore describe how the decomposition was *executed*, not what
-/// was decomposed, and are not thread-count invariant: timing plane, like
-/// the pool counters.
+/// Timing-plane counters of the decomposition. How a block is processed
+/// (trim, Tarjan) is a pure function of the block, but the seq-vs-par
+/// dispatch keys on the requested worker count, and the sequential
+/// fallback records zeros — so the totals describe how the
+/// decomposition was *executed*, not what was decomposed, and are not
+/// thread-count invariant: timing plane, like the pool counters.
 struct MecCounters {
-  obs::Counter& splits =
-      obs::Registry::global().counter("mec.fwbw_splits", obs::Plane::kTiming);
   obs::Counter& trimmed =
       obs::Registry::global().counter("mec.trimmed_states", obs::Plane::kTiming);
   obs::Counter& tarjan_regions =
       obs::Registry::global().counter("mec.tarjan_regions", obs::Plane::kTiming);
-  obs::Counter& tarjan_escapes =
-      obs::Registry::global().counter("mec.tarjan_escapes", obs::Plane::kTiming);
+  obs::Counter& resplit_blocks =
+      obs::Registry::global().counter("mec.resplit_blocks", obs::Plane::kTiming);
   obs::Counter& rounds =
       obs::Registry::global().counter("mec.refinement_rounds", obs::Plane::kTiming);
   static MecCounters& get() {
@@ -69,427 +78,518 @@ struct MecCounters {
   }
 };
 
-/// Compressed adjacency over the states of the model (off has n+1 entries).
-struct Csr {
-  std::vector<std::size_t> off;
-  std::vector<StateId> edges;
-};
-
-/// All outcomes of actions usable at s under `component` (an action is
-/// usable when every outcome stays in s's partition block), appended to out.
-template <class ModelT, typename Fn>
-void for_each_usable_edge(const ModelT& model, const std::vector<std::int64_t>& component,
-                          StateId s, Fn&& fn) {
-  for (int p = 0; p < model.num_phils(); ++p) {
-    const auto [begin, end] = model.row(s, p);
-    if (begin == end) continue;
-    bool usable = true;
-    for (const Outcome* o = begin; o != end && usable; ++o) {
-      usable = component[o->next] == component[s];
+inline constexpr std::uint32_t kNone = 0xFFFFFFFFu;
+/// block label flag: the block is a finished MEC (labels are < 2^31).
+inline constexpr std::uint32_t kFinal = 0x80000000u;
+/// Edge flag: the outcome closes its action's outcome list.
+inline constexpr std::uint32_t kLastOutcome = 0x80000000u;
+inline constexpr std::uint32_t kIdMask = 0x7FFFFFFFu;
+/// off[1..m] holds per-item counts; turns off into exclusive offsets
+/// (off[0] = 0) with range sums, a scan over the ranges, and a local scan
+/// per range.
+inline void counts_to_offsets(std::vector<std::uint32_t>& off, int threads) {
+  const std::size_t m = off.size() - 1;
+  std::vector<std::uint64_t> base((m + common::kRangeSize - 1) / common::kRangeSize + 1, 0);
+  common::parallel_ranges(m, threads, [&](std::size_t lo, std::size_t hi) {
+    std::uint64_t sum = 0;
+    for (std::size_t i = lo; i < hi; ++i) sum += off[i + 1];
+    base[lo / common::kRangeSize + 1] = sum;
+  });
+  for (std::size_t r = 1; r < base.size(); ++r) base[r] += base[r - 1];
+  GDP_CHECK_MSG(base.back() < (std::uint64_t{1} << 32),
+                "parallel MEC decomposition supports < 2^32 usable edges per round");
+  off[0] = 0;
+  common::parallel_ranges(m, threads, [&](std::size_t lo, std::size_t hi) {
+    std::uint64_t run = base[lo / common::kRangeSize];
+    for (std::size_t i = lo; i < hi; ++i) {
+      run += off[i + 1];
+      off[i + 1] = static_cast<std::uint32_t>(run);
     }
-    if (!usable) continue;
-    for (const Outcome* o = begin; o != end; ++o) fn(o->next);
-  }
+  });
 }
 
-/// Forward CSR of the usable-action graph restricted to candidate states,
-/// plus its reverse. Built in parallel each refinement round.
+/// The per-task parts of a pass, concatenated in task order.
+inline std::vector<std::uint32_t> concat(const std::vector<std::vector<std::uint32_t>>& parts) {
+  std::size_t size = 0;
+  for (const auto& part : parts) size += part.size();
+  std::vector<std::uint32_t> out;
+  out.reserve(size);
+  for (const auto& part : parts) out.insert(out.end(), part.begin(), part.end());
+  return out;
+}
+
+/// The ascending list of ids i in [0, total) with keep(i). keep runs once
+/// per id, in range tasks.
+template <class Keep>
+std::vector<std::uint32_t> select_ids(std::size_t total, int threads, Keep&& keep) {
+  std::vector<std::vector<std::uint32_t>> parts((total + common::kRangeSize - 1) / common::kRangeSize);
+  common::parallel_ranges(total, threads, [&](std::size_t lo, std::size_t hi) {
+    std::vector<std::uint32_t>& mine = parts[lo / common::kRangeSize];
+    for (std::size_t i = lo; i < hi; ++i) {
+      if (keep(static_cast<std::uint32_t>(i))) mine.push_back(static_cast<std::uint32_t>(i));
+    }
+  });
+  return concat(parts);
+}
+
+/// select_ids over the entries of `list` (kept in list order).
+template <class Keep>
+std::vector<std::uint32_t> select_from(const std::vector<std::uint32_t>& list, int threads,
+                                       Keep&& keep) {
+  std::vector<std::uint32_t> positions =
+      select_ids(list.size(), threads, [&](std::uint32_t k) { return keep(list[k]); });
+  for (std::uint32_t& k : positions) k = list[k];
+  return positions;
+}
+
+/// One wave of a worklist: visit(item, out) for every item, returning the
+/// pushes concatenated in range order. Waves of at most one range run on
+/// the calling thread.
+template <class Visit>
+std::vector<std::uint32_t> one_wave(const std::vector<std::uint32_t>& items, int threads,
+                                    Visit&& visit) {
+  std::vector<std::uint32_t> out;
+  if (items.size() <= common::kRangeSize) {
+    for (const std::uint32_t item : items) visit(item, out);
+    return out;
+  }
+  std::vector<std::vector<std::uint32_t>> parts((items.size() + common::kRangeSize - 1) /
+                                                common::kRangeSize);
+  common::parallel_ranges(items.size(), threads, [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t k = lo; k < hi; ++k) visit(items[k], parts[lo / common::kRangeSize]);
+  });
+  return concat(parts);
+}
+
+/// Level-synchronous worklist: visit(item, next) runs for every item of the
+/// current wave and pushes the next wave's items. Callers dedupe pushes
+/// with atomic claims.
+template <class Visit>
+void run_waves(std::vector<std::uint32_t> wave, int threads, Visit&& visit) {
+  while (!wave.empty()) wave = one_wave(wave, threads, visit);
+}
+
+/// Relaxed atomic read of a slot other tasks may write in the same pass.
+template <class T>
+T load(T& x) {
+  return std::atomic_ref<T>(x).load(std::memory_order_relaxed);
+}
+/// Lowers x to v; true when this call changed it.
+inline bool lower_to(std::uint32_t& x, std::uint32_t v) {
+  std::atomic_ref<std::uint32_t> ref(x);
+  std::uint32_t cur = ref.load(std::memory_order_relaxed);
+  while (v < cur) {
+    if (ref.compare_exchange_weak(cur, v, std::memory_order_relaxed)) return true;
+  }
+  return false;
+}
+
+/// One parallel decomposition (see the file comment). All graph arrays are
+/// in the *local* index space of the current round: local i is the i-th
+/// state of the ascending active list, so the smallest local index of a
+/// set is also its smallest state id.
 template <class ModelT>
-void build_graph(const ModelT& model, const std::vector<std::int64_t>& component, int threads,
-                 Csr& fwd, Csr& rev) {
-  const std::size_t n = model.num_states();
-
-  std::vector<std::size_t> count(n, 0);
-  common::parallel_for(n, threads, [&](std::uint32_t s) {
-    if (component[s] == kRemoved) return;
-    std::size_t c = 0;
-    for_each_usable_edge(model, component, s, [&](StateId) { ++c; });
-    count[s] = c;
-  });
-
-  fwd.off.assign(n + 1, 0);
-  for (std::size_t s = 0; s < n; ++s) fwd.off[s + 1] = fwd.off[s] + count[s];
-  fwd.edges.resize(fwd.off[n]);
-  common::parallel_for(n, threads, [&](std::uint32_t s) {
-    if (component[s] == kRemoved) return;
-    std::size_t idx = fwd.off[s];
-    for_each_usable_edge(model, component, s, [&](StateId t) { fwd.edges[idx++] = t; });
-  });
-
-  // Reverse: counts and slot claims via atomic_ref (order inside a reverse
-  // adjacency list is scheduling-dependent, which only perturbs traversal
-  // order — reachability results and canonical labels are unaffected).
-  std::vector<std::size_t> rcount(n, 0);
-  common::parallel_for(n, threads, [&](std::uint32_t s) {
-    for (std::size_t i = fwd.off[s]; i < fwd.off[s + 1]; ++i) {
-      std::atomic_ref<std::size_t>(rcount[fwd.edges[i]]).fetch_add(1, std::memory_order_relaxed);
-    }
-  });
-  rev.off.assign(n + 1, 0);
-  for (std::size_t s = 0; s < n; ++s) rev.off[s + 1] = rev.off[s] + rcount[s];
-  rev.edges.resize(rev.off[n]);
-  std::vector<std::size_t> slot(rev.off.begin(), rev.off.end() - 1);
-  common::parallel_for(n, threads, [&](std::uint32_t s) {
-    for (std::size_t i = fwd.off[s]; i < fwd.off[s + 1]; ++i) {
-      const StateId t = fwd.edges[i];
-      const std::size_t at =
-          std::atomic_ref<std::size_t>(slot[t]).fetch_add(1, std::memory_order_relaxed);
-      rev.edges[at] = static_cast<StateId>(s);
-    }
-  });
-}
-
-/// A unit of fork/join SCC work: a set of states that provably contains
-/// every SCC of each of its members.
-struct Region {
-  std::uint32_t token = 0;
-  std::vector<StateId> states;
-  /// Consecutive ineffective FW-BW splits above this region (a split is
-  /// ineffective when a child keeps >= 3/4 of its parent). Model-checking
-  /// graphs are often a long DAG of small SCCs — the known worst case for
-  /// FW-BW, where every split peels one small component — so after two
-  /// ineffective splits the region goes straight to Tarjan.
-  int ineffective_splits = 0;
-};
-
-/// Queue items hold *batches* of regions: refined rounds produce hundreds
-/// of thousands of tiny partition blocks, and one mutex round-trip per
-/// block would dominate the decomposition.
-using RegionBatch = std::vector<Region>;
-
-class RegionQueue {
+class MecDecomposition {
  public:
-  void push(RegionBatch&& batch) GDP_EXCLUDES(mu_) {
-    outstanding_.fetch_add(1, std::memory_order_acq_rel);
-    common::MutexLock lock(mu_);
-    batches_.push_back(std::move(batch));
-  }
+  MecDecomposition(const ModelT& model, std::vector<std::uint32_t> candidates,
+                   const CheckOptions& options)
+      : model_(model),
+        threads_(options.threads),
+        region_(std::max<std::size_t>(options.seq_scc_region, 1)),
+        active_(std::move(candidates)) {}
 
-  std::optional<RegionBatch> pop() GDP_EXCLUDES(mu_) {
-    common::MutexLock lock(mu_);
-    if (batches_.empty()) return std::nullopt;
-    RegionBatch batch = std::move(batches_.back());
-    batches_.pop_back();
-    return batch;
+  std::vector<EndComponent> run() {
+    const std::size_t n = model_.num_states();
+    block_.assign(n, kNone);
+    local_.assign(n, kNone);
+    const std::uint32_t first = active_.front();
+    common::parallel_ranges(active_.size(), threads_, [&](std::size_t lo, std::size_t hi) {
+      for (std::size_t i = lo; i < hi; ++i) block_[active_[i]] = first;
+    });
+    for (bool first_round = true; !active_.empty(); first_round = false) {
+      MecCounters::get().rounds.increment();
+      build_graph();
+      {
+        obs::TimedSpan span(first_round ? "mec.first_scc" : "mec.resplit");
+        split_blocks();
+      }
+      filter_survivors();
+      next_round();
+    }
+    return collect();
   }
-
-  /// Called by the worker once a region (and the pushes of its children)
-  /// is fully processed.
-  void done() { outstanding_.fetch_sub(1, std::memory_order_acq_rel); }
-  bool idle() const { return outstanding_.load(std::memory_order_acquire) == 0; }
 
  private:
-  common::Mutex mu_;
-  std::vector<RegionBatch> batches_ GDP_GUARDED_BY(mu_);
-  /// Regions pushed but not yet fully processed; incremented BEFORE the
-  /// push is visible so idle() can never report a transient empty queue as
-  /// terminated while a producer is mid-push.
-  std::atomic<std::size_t> outstanding_{0};
-};
-
-/// Fork/join SCC of the usable-action graph: fills out[s] with the
-/// canonical label (smallest state id) of s's SCC for every candidate s,
-/// kRemoved otherwise.
-template <class ModelT>
-class ParallelScc {
- public:
-  ParallelScc(const ModelT& model, const std::vector<std::int64_t>& component,
-              const CheckOptions& options, int threads)
-      : model_(model), component_(component), options_(options), threads_(threads) {}
-
-  void run(std::vector<std::int64_t>& out) {
-    const std::size_t n = model_.num_states();
-    out.assign(n, kRemoved);
-    out_ = &out;
-
-    build_graph(model_, component_, threads_, fwd_, rev_);
-
-    // Foreign states' tags are read while their owners relabel them (the
-    // membership test only needs "is this my token", and tokens are never
-    // reused), so the tags are relaxed atomics to keep that formally
-    // race-free.
-    region_of_ = std::vector<std::atomic<std::uint32_t>>(n);
-    fw_mark_.assign(n, 0);
-    bw_mark_.assign(n, 0);
-    indeg_.assign(n, 0);
-    outdeg_.assign(n, 0);
-    local_of_.assign(n, 0);
-
-    // Each partition block is an independent SCC problem (usable edges
-    // never cross blocks), so seed one region per block: the first round
-    // starts from one big region, refined rounds fork into many small
-    // ones that go straight to the per-region Tarjan. Singleton blocks —
-    // the vast majority once the partition approaches the MEC fixpoint —
-    // are their own SCC by definition and resolve right here; the rest
-    // are packed into ~seq_scc_region-state batches so queue traffic
-    // stays proportional to work, not to block count.
-    std::unordered_map<std::int64_t, std::vector<StateId>> blocks;
-    blocks.reserve(n / 2 + 1);
-    for (std::size_t s = 0; s < n; ++s) {
-      if (component_[s] != kRemoved) blocks[component_[s]].push_back(static_cast<StateId>(s));
-    }
-    bool any = false;
-    RegionBatch batch;
-    std::size_t batch_states = 0;
-    // Iteration order only picks region tokens and queue order — pure work
-    // scheduling. SCC labels are canonical min-state ids and the final
-    // collection scans states ascending, so no result bit depends on it.
-    // gdp-lint: allow(unordered-iteration) — feeds the work queue, not any output
-    for (auto& [label, states] : blocks) {
-      if (states.size() == 1) {
-        (*out_)[states.front()] = states.front();
-        continue;
+  /// Forward CSR of the usable-action graph over the active states, each
+  /// action's outcomes consecutive and the last one flagged kLastOutcome.
+  /// One ascending model read into per-range buffers, then a copy into
+  /// place.
+  void build_graph() {
+    obs::TimedSpan span("mec.graph");
+    const std::size_t m = active_.size();
+    common::parallel_ranges(m, threads_, [&](std::size_t lo, std::size_t hi) {
+      for (std::size_t i = lo; i < hi; ++i) local_[active_[i]] = static_cast<std::uint32_t>(i);
+    });
+    off_.assign(m + 1, 0);
+    std::vector<std::vector<std::uint32_t>> parts((m + common::kRangeSize - 1) / common::kRangeSize);
+    common::parallel_ranges(m, threads_, [&](std::size_t lo, std::size_t hi) {
+      std::vector<std::uint32_t>& mine = parts[lo / common::kRangeSize];
+      for (std::size_t i = lo; i < hi; ++i) {
+        const std::size_t before = mine.size();
+        for_each_usable(active_[i], [&](const Outcome* begin, const Outcome* end) {
+          for (const Outcome* o = begin; o != end; ++o) {
+            mine.push_back(local_[o->next] | (o + 1 == end ? kLastOutcome : 0));
+          }
+        });
+        off_[i + 1] = static_cast<std::uint32_t>(mine.size() - before);
       }
-      Region region;
-      region.token = next_token_.fetch_add(1, std::memory_order_relaxed);
-      region.states = std::move(states);
-      for (const StateId s : region.states) set_region(s, region.token);
-      batch_states += region.states.size();
-      batch.push_back(std::move(region));
-      if (batch_states >= options_.seq_scc_region) {
-        queue_.push(std::move(batch));
-        batch = {};
-        batch_states = 0;
-        any = true;
-      }
-    }
-    if (!batch.empty()) {
-      queue_.push(std::move(batch));
-      any = true;
-    }
-    if (!any) return;
+    });
+    counts_to_offsets(off_, threads_);
+    edges_.resize(off_[m]);
+    common::parallel_ranges(m, threads_, [&](std::size_t lo, std::size_t) {
+      std::vector<std::uint32_t>& mine = parts[lo / common::kRangeSize];
+      std::copy(mine.begin(), mine.end(), edges_.begin() + off_[lo]);
+      std::vector<std::uint32_t>().swap(mine);
+    });
+    reversed_ = false;
+  }
 
-    const unsigned workers = common::effective_threads(threads_, n);
-    common::run_workers(workers, [&](unsigned) {
-      common::Backoff backoff;
-      while (true) {
-        std::optional<RegionBatch> claimed = queue_.pop();
-        if (!claimed) {
-          if (queue_.idle()) break;
-          backoff.pause();
-          continue;
+  /// The reverse of the usable-action graph, built on first use in a round
+  /// (only the trim walks edges backward). The order inside a list depends
+  /// on scheduling, which only perturbs traversal order.
+  void build_reverse() {
+    if (reversed_) return;
+    reversed_ = true;
+    const std::size_t m = active_.size();
+    roff_.assign(m + 1, 0);
+    common::parallel_ranges(m, threads_, [&](std::size_t lo, std::size_t hi) {
+      for (std::size_t e = off_[lo]; e < off_[hi]; ++e) {
+        std::atomic_ref<std::uint32_t>(roff_[(edges_[e] & kIdMask) + 1])
+            .fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+    counts_to_offsets(roff_, threads_);
+    redges_.resize(edges_.size());
+    std::vector<std::uint32_t> cursor(roff_.begin(), roff_.end() - 1);
+    common::parallel_ranges(m, threads_, [&](std::size_t lo, std::size_t hi) {
+      for (std::size_t i = lo; i < hi; ++i) {
+        for (std::size_t e = off_[i]; e < off_[i + 1]; ++e) {
+          const std::uint32_t at = std::atomic_ref<std::uint32_t>(cursor[edges_[e] & kIdMask])
+                                       .fetch_add(1, std::memory_order_relaxed);
+          redges_[at] = static_cast<std::uint32_t>(i);
         }
-        backoff.reset();
-        for (Region& r : *claimed) process(std::move(r));
-        queue_.done();
       }
     });
   }
 
- private:
-  /// Reachability sweep from `pivot` within region `token` over `graph`,
-  /// stamping `mark[s] = token`.
-  void sweep(const Csr& graph, StateId pivot, std::uint32_t token,
-             std::vector<std::uint32_t>& mark) {
-    std::vector<StateId> stack{pivot};
-    mark[pivot] = token;
-    while (!stack.empty()) {
-      const StateId s = stack.back();
-      stack.pop_back();
-      for (std::size_t i = graph.off[s]; i < graph.off[s + 1]; ++i) {
-        const StateId t = graph.edges[i];
-        if (region_of(t) != token || mark[t] == token) continue;
-        mark[t] = token;
-        stack.push_back(t);
-      }
+  /// fn(begin, end) for every action of s whose outcomes all stay in s's
+  /// block.
+  template <typename Fn>
+  void for_each_usable(StateId s, Fn&& fn) const {
+    const std::uint32_t b = block_[s];
+    for (int p = 0; p < model_.num_phils(); ++p) {
+      const auto [begin, end] = model_.row(s, p);
+      if (begin == end) continue;
+      bool usable = true;
+      for (const Outcome* o = begin; o != end && usable; ++o) usable = block_[o->next] == b;
+      if (usable) fn(begin, end);
     }
   }
 
-  /// Peels states that cannot lie on any cycle within the region (zero
-  /// in-region in-degree or out-degree — iterated, so whole DAG-shaped
-  /// tails collapse in one linear pass). Each peeled state is its own SCC.
-  /// Without this, graphs dominated by trivial SCCs degrade FW-BW splitting
-  /// to one component per sweep (the classic FW-BW pathology).
-  void trim(Region& r) {
-    const std::uint32_t token = r.token;
-    for (const StateId s : r.states) {
-      indeg_[s] = 0;
-      outdeg_[s] = 0;
-    }
-    for (const StateId s : r.states) {
-      for (std::size_t i = fwd_.off[s]; i < fwd_.off[s + 1]; ++i) {
-        const StateId t = fwd_.edges[i];
-        if (region_of(t) != token) continue;
-        ++outdeg_[s];
-        ++indeg_[t];
+  /// SCC labels (some member's local index) into scc_ for every active
+  /// state.
+  /// Usable edges never leave a block, so blocks are independent problems:
+  /// singletons label themselves, small blocks run Tarjan as parallel
+  /// tasks, large ones are trimmed and split one after another.
+  void split_blocks() {
+    const std::size_t m = active_.size();
+    scc_.assign(m, kNone);
+    a_.assign(m, 0);
+    b_.assign(m, 0);
+    mark_.assign(m, kLive);
+    const common::Buckets blocks = common::counting_sort(
+        m, m, [&](std::uint32_t i) { return local_[block_[active_[i]]]; });
+    std::vector<std::size_t> small;  // keys of Tarjan blocks, in key order
+    std::vector<std::size_t> large;
+    for (std::size_t k = 0; k < m; ++k) {
+      const std::size_t size = blocks.size(k);
+      if (size == 1) {
+        const std::uint32_t i = *blocks.begin(k);
+        scc_[i] = i;
+        mark_[i] = 0;
+      } else if (size > region_) {
+        large.push_back(k);
+      } else if (size > 1) {
+        small.push_back(k);
       }
     }
-    std::vector<StateId> worklist;
-    for (const StateId s : r.states) {
-      if (indeg_[s] == 0 || outdeg_[s] == 0) worklist.push_back(s);
-    }
-    while (!worklist.empty()) {
-      const StateId s = worklist.back();
-      worklist.pop_back();
-      if (region_of(s) != token) continue;  // peeled via the other degree
-      set_region(s, 0);
-      (*out_)[s] = s;  // a peeled state is a singleton SCC
-      for (std::size_t i = fwd_.off[s]; i < fwd_.off[s + 1]; ++i) {
-        const StateId t = fwd_.edges[i];
-        if (region_of(t) == token && --indeg_[t] == 0) worklist.push_back(t);
-      }
-      for (std::size_t i = rev_.off[s]; i < rev_.off[s + 1]; ++i) {
-        const StateId t = rev_.edges[i];
-        if (region_of(t) == token && --outdeg_[t] == 0) worklist.push_back(t);
-      }
-    }
-    std::erase_if(r.states, [&](StateId s) { return region_of(s) != token; });
-  }
-
-  void process(Region r) {
     MecCounters& ctr = MecCounters::get();
-    const std::size_t before_trim = r.states.size();
-    trim(r);
-    const std::size_t trimmed = before_trim - r.states.size();
-    ctr.trimmed.add(trimmed);
-    if (trimmed > 0) {
-      obs::timeline::counter_sample("mec.trimmed_states", static_cast<double>(trimmed));
-    }
-    if (r.states.empty()) return;
-    if (r.states.size() <= options_.seq_scc_region || r.ineffective_splits >= 2) {
-      ctr.tarjan_regions.increment();
-      // An escape is a region *above* the size threshold bailed to Tarjan
-      // because FW-BW stopped making progress on it.
-      if (r.states.size() > options_.seq_scc_region) {
-        ctr.tarjan_escapes.increment();
-        obs::timeline::instant("mec.tarjan_escape");
-      }
-      tarjan(r);
-      return;
-    }
-    ctr.splits.increment();
-    obs::timeline::instant("mec.fwbw_split");
-    const std::uint32_t token = r.token;
-    const StateId pivot = r.states.front();
-    sweep(fwd_, pivot, token, fw_mark_);
-    sweep(rev_, pivot, token, bw_mark_);
+    ctr.resplit_blocks.add(small.size() + large.size());
+    ctr.tarjan_regions.add(small.size());
 
-    std::vector<StateId> scc, fw_only, bw_only, rest;
-    for (const StateId s : r.states) {
-      const bool f = fw_mark_[s] == token;
-      const bool b = bw_mark_[s] == token;
-      if (f && b) {
-        scc.push_back(s);
-      } else if (f) {
-        fw_only.push_back(s);
-      } else if (b) {
-        bw_only.push_back(s);
-      } else {
-        rest.push_back(s);
+    // Consecutive small blocks packed into tasks of about kRangeSize states.
+    std::vector<std::size_t> task_start{0};
+    for (std::size_t j = 0, states = 0; j < small.size(); ++j) {
+      states += blocks.size(small[j]);
+      if (states >= common::kRangeSize) {
+        task_start.push_back(j + 1);
+        states = 0;
       }
     }
-    const std::int64_t label = *std::min_element(scc.begin(), scc.end());
-    for (const StateId s : scc) (*out_)[s] = label;
+    if (task_start.back() != small.size()) task_start.push_back(small.size());
+    const auto tarjan_task = [&](std::size_t t) {
+      TarjanScratch scratch;
+      for (std::size_t j = task_start[t]; j < task_start[t + 1]; ++j) {
+        tarjan(blocks.begin(small[j]), blocks.end(small[j]), scratch);
+      }
+    };
+    common::parallel_for(task_start.size() - 1, threads_, tarjan_task);
 
-    // Every SCC lies entirely within FW∩BW, FW\BW, BW\FW or the remainder
-    // (the FW-BW theorem), so the three leftovers recurse independently.
-    for (std::vector<StateId>* part : {&fw_only, &bw_only, &rest}) {
-      if (part->empty()) continue;
-      Region child;
-      child.token = next_token_.fetch_add(1, std::memory_order_relaxed);
-      child.states = std::move(*part);
-      child.ineffective_splits =
-          child.states.size() * 4 >= r.states.size() * 3 ? r.ineffective_splits + 1 : 0;
-      for (const StateId s : child.states) set_region(s, child.token);
-      RegionBatch one;
-      one.push_back(std::move(child));
-      queue_.push(std::move(one));
+    for (const std::size_t k : large) {
+      split_large(std::vector<std::uint32_t>(blocks.begin(k), blocks.end(k)));
     }
   }
 
-  /// Sequential Tarjan over one region (iterative), emitting canonical
-  /// min-state labels. Local dense indices keep the scratch proportional
-  /// to the region, not the model.
-  void tarjan(const Region& r) {
-    const std::int32_t kNone = -1;
-    const std::size_t m = r.states.size();
-    // local_of_ is a shared scratch: regions are disjoint and each state's
-    // slot is only touched by the worker owning its region.
-    for (std::size_t i = 0; i < m; ++i) local_of_[r.states[i]] = static_cast<std::int32_t>(i);
+  /// SCCs of one large block's live states (ascending local ids): a
+  /// parallel trim, then Tarjan on what is left.
+  void split_large(std::vector<std::uint32_t> live) {
+    build_reverse();
+    live = trim(live);
+    if (!live.empty()) {
+      MecCounters::get().tarjan_regions.increment();
+      for (const std::uint32_t i : live) a_[i] = 0;
+      TarjanScratch scratch;
+      tarjan(live.data(), live.data() + live.size(), scratch);
+    }
+  }
 
-    std::vector<std::int32_t> index(m, kNone), low(m, 0);
-    std::vector<bool> on_stack(m, false);
-    std::vector<std::int32_t> scc_stack;
-    std::int32_t counter = 0;
+  /// Peels states with no live predecessor or no live successor — they lie
+  /// on no cycle, so each is its own SCC — level by level, with atomic
+  /// degree counters; returns the states left.
+  std::vector<std::uint32_t> trim(const std::vector<std::uint32_t>& live) {
+    obs::TimedSpan span("mec.trim");
+    std::uint32_t* indeg = a_.data();
+    std::uint32_t* outdeg = b_.data();
+    std::vector<std::uint32_t> wave = select_from(live, threads_, [&](std::uint32_t i) {
+      indeg[i] = roff_[i + 1] - roff_[i];
+      outdeg[i] = off_[i + 1] - off_[i];
+      return indeg[i] == 0 || outdeg[i] == 0;
+    });
+    std::atomic<std::uint64_t> trimmed{0};
+    run_waves(std::move(wave), threads_,
+              [&](std::uint32_t i, std::vector<std::uint32_t>& next) {
+                if (!clear_flag(i, kLive)) return;
+                scc_[i] = i;
+                trimmed.fetch_add(1, std::memory_order_relaxed);
+                for (std::uint32_t e = off_[i]; e < off_[i + 1]; ++e) {
+                  const std::uint32_t j = edges_[e] & kIdMask;
+                  if ((load(mark_[j]) & kLive) &&
+                      std::atomic_ref<std::uint32_t>(indeg[j]).fetch_sub(
+                          1, std::memory_order_relaxed) == 1) {
+                    next.push_back(j);
+                  }
+                }
+                for (std::uint32_t e = roff_[i]; e < roff_[i + 1]; ++e) {
+                  const std::uint32_t j = redges_[e];
+                  if ((load(mark_[j]) & kLive) &&
+                      std::atomic_ref<std::uint32_t>(outdeg[j]).fetch_sub(
+                          1, std::memory_order_relaxed) == 1) {
+                    next.push_back(j);
+                  }
+                }
+              });
+    const std::uint64_t peeled = trimmed.load(std::memory_order_relaxed);
+    MecCounters::get().trimmed.add(peeled);
+    if (peeled > 0) {
+      obs::timeline::counter_sample("mec.trimmed_states", static_cast<double>(peeled));
+    }
+    return select_from(live, threads_, [&](std::uint32_t i) { return (mark_[i] & kLive) != 0; });
+  }
 
+  struct TarjanScratch {
     struct Frame {
-      std::int32_t v;           // local index
-      std::size_t edge;         // next edge offset in fwd_
-      std::size_t edge_end;
+      std::uint32_t v;
+      std::uint32_t edge;
     };
-    std::vector<Frame> stack;
+    std::vector<Frame> frames;
+    std::vector<std::uint32_t> stack;
+  };
 
-    auto push_state = [&](std::int32_t v) {
-      index[v] = low[v] = counter++;
-      scc_stack.push_back(v);
-      on_stack[v] = true;
-      const StateId s = r.states[static_cast<std::size_t>(v)];
-      stack.push_back(Frame{v, fwd_.off[s], fwd_.off[s + 1]});
+  /// Iterative Tarjan from every live state of [begin, end) (whose
+  /// index slot a_ must be 0), over edges to live states only. a_ holds
+  /// DFS indices and b_ low links; a popped SCC takes its root as label and
+  /// loses kLive, so "live and visited" means "on the stack". Tasks own
+  /// disjoint blocks, so their slots never overlap.
+  void tarjan(const std::uint32_t* begin, const std::uint32_t* end, TarjanScratch& t) {
+    std::uint32_t counter = 0;
+    const auto push = [&](std::uint32_t v) {
+      a_[v] = b_[v] = ++counter;
+      t.stack.push_back(v);
+      t.frames.push_back({v, off_[v]});
     };
-
-    for (std::size_t root = 0; root < m; ++root) {
-      if (index[root] != kNone) continue;
-      push_state(static_cast<std::int32_t>(root));
-      while (!stack.empty()) {
-        Frame& frame = stack.back();
-        if (frame.edge == frame.edge_end) {
-          const std::int32_t v = frame.v;
-          stack.pop_back();
-          if (!stack.empty()) {
-            low[stack.back().v] = std::min(low[stack.back().v], low[v]);
-          }
-          if (low[v] == index[v]) {
-            // Pop the component; its canonical label is its smallest id.
-            std::size_t first = scc_stack.size();
-            while (true) {
-              --first;
-              if (scc_stack[first] == v) break;
-            }
-            std::int64_t label = std::numeric_limits<std::int64_t>::max();
-            for (std::size_t i = first; i < scc_stack.size(); ++i) {
-              label = std::min<std::int64_t>(label,
-                                             r.states[static_cast<std::size_t>(scc_stack[i])]);
-            }
-            for (std::size_t i = first; i < scc_stack.size(); ++i) {
-              const std::int32_t w = scc_stack[i];
-              on_stack[w] = false;
-              (*out_)[r.states[static_cast<std::size_t>(w)]] = label;
-            }
-            scc_stack.resize(first);
+    for (const std::uint32_t* root = begin; root != end; ++root) {
+      if (a_[*root] != 0 || !(mark_[*root] & kLive)) continue;
+      push(*root);
+      while (!t.frames.empty()) {
+        auto& frame = t.frames.back();
+        const std::uint32_t v = frame.v;
+        if (frame.edge < off_[v + 1]) {
+          const std::uint32_t w = edges_[frame.edge++] & kIdMask;
+          if (!(mark_[w] & kLive)) continue;
+          if (a_[w] == 0) {
+            push(w);
+          } else {
+            b_[v] = std::min(b_[v], a_[w]);
           }
           continue;
         }
-        const StateId t = fwd_.edges[frame.edge++];
-        if (region_of(t) != r.token) continue;
-        const std::int32_t w = local_of_[t];
-        if (index[w] == kNone) {
-          push_state(w);
-        } else if (on_stack[w]) {
-          low[frame.v] = std::min(low[frame.v], index[w]);
+        t.frames.pop_back();
+        if (!t.frames.empty()) {
+          const std::uint32_t parent = t.frames.back().v;
+          b_[parent] = std::min(b_[parent], b_[v]);
         }
+        if (b_[v] != a_[v]) continue;
+        std::size_t first = t.stack.size();
+        do {
+          --first;
+        } while (t.stack[first] != v);
+        for (std::size_t k = first; k < t.stack.size(); ++k) {
+          scc_[t.stack[k]] = v;
+          mark_[t.stack[k]] = 0;
+        }
+        t.stack.resize(first);
       }
     }
   }
 
-  const ModelT& model_;
-  const std::vector<std::int64_t>& component_;
-  const CheckOptions& options_;
-  int threads_;
-  std::uint32_t region_of(StateId s) const {
-    return region_of_[s].load(std::memory_order_relaxed);
-  }
-  void set_region(StateId s, std::uint32_t token) {
-    region_of_[s].store(token, std::memory_order_relaxed);
+  /// True iff some action of i keeps every outcome inside i's SCC.
+  bool has_inside_action(std::uint32_t i) const {
+    bool inside = true;
+    for (std::uint32_t e = off_[i]; e < off_[i + 1]; ++e) {
+      inside = inside && scc_[edges_[e] & kIdMask] == scc_[i];
+      if (edges_[e] & kLastOutcome) {
+        if (inside) return true;
+        inside = true;
+      }
+    }
+    return false;
   }
 
-  Csr fwd_, rev_;
-  std::vector<std::atomic<std::uint32_t>> region_of_;
-  std::vector<std::uint32_t> fw_mark_, bw_mark_;
-  std::vector<std::uint32_t> indeg_, outdeg_;
-  std::vector<std::int32_t> local_of_;
-  std::atomic<std::uint32_t> next_token_{1};
-  RegionQueue queue_;
-  std::vector<std::int64_t>* out_ = nullptr;
+  /// Drops every state with no action inside its own SCC, deciding on a
+  /// snapshot. A drop can strand a predecessor's last inside action; that
+  /// action is then no longer usable, its block is re-split next round, and
+  /// the predecessor drops there.
+  void filter_survivors() {
+    obs::TimedSpan span("mec.survival");
+    const std::vector<std::uint32_t> dropped = select_ids(
+        active_.size(), threads_, [&](std::uint32_t i) { return !has_inside_action(i); });
+    for (const std::uint32_t i : dropped) scc_[i] = kNone;
+  }
+
+  /// Labels the next round: each surviving block takes its smallest
+  /// surviving member's state id; a block in which some usable action now
+  /// leaves its SCC is re-split next round, every other block is a finished
+  /// MEC (kFinal) and drops out of the active list.
+  void next_round() {
+    const std::size_t m = active_.size();
+    std::uint32_t* smallest = a_.data();
+    std::uint8_t* dirty = mark_.data();
+    std::fill(a_.begin(), a_.end(), kNone);
+    std::fill(mark_.begin(), mark_.end(), 0);
+    common::parallel_ranges(m, threads_, [&](std::size_t lo, std::size_t hi) {
+      for (std::size_t i = lo; i < hi; ++i) {
+        const std::uint32_t label = scc_[i];
+        if (label == kNone) continue;
+        lower_to(smallest[label], static_cast<std::uint32_t>(i));
+        for (std::uint32_t e = off_[i]; e < off_[i + 1]; ++e) {
+          if (scc_[edges_[e] & kIdMask] != label) {
+            std::atomic_ref<std::uint8_t>(dirty[label]).store(1, std::memory_order_relaxed);
+            break;
+          }
+        }
+      }
+    });
+    std::vector<std::uint32_t> next = select_ids(m, threads_, [&](std::uint32_t i) {
+      const StateId s = active_[i];
+      const std::uint32_t label = scc_[i];
+      if (label == kNone) {
+        block_[s] = kNone;
+        return false;
+      }
+      const std::uint32_t id = active_[smallest[label]];
+      const bool resplit = dirty[label] != 0;
+      block_[s] = resplit ? id : (id | kFinal);
+      return resplit;
+    });
+    for (std::uint32_t& i : next) i = active_[i];
+    active_.swap(next);
+  }
+
+  /// The finished MECs, ordered by smallest member (the sequential scan's
+  /// first-encounter order), states ascending, with philosopher masks.
+  std::vector<EndComponent> collect() {
+    obs::TimedSpan span("mec.collect");
+    const std::size_t n = model_.num_states();
+    const std::vector<std::uint32_t> roots = select_ids(n, threads_, [&](std::uint32_t s) {
+      return block_[s] != kNone && (block_[s] & kIdMask) == s;
+    });
+    // local_ is free now: it maps each root to its component index.
+    common::parallel_ranges(roots.size(), threads_, [&](std::size_t lo, std::size_t hi) {
+      for (std::size_t k = lo; k < hi; ++k) local_[roots[k]] = static_cast<std::uint32_t>(k);
+    });
+    std::vector<EndComponent> mecs(roots.size());
+    std::vector<std::uint32_t> sizes(roots.size(), 0);
+    common::parallel_ranges(n, threads_, [&](std::size_t lo, std::size_t hi) {
+      for (std::size_t s = lo; s < hi; ++s) {
+        const std::uint32_t b = block_[s];
+        if (b == kNone) continue;
+        std::atomic_ref<std::uint32_t>(sizes[local_[b & kIdMask]])
+            .fetch_add(1, std::memory_order_relaxed);
+        std::uint64_t mask = 0;
+        for (int p = 0; p < model_.num_phils() && p < 64; ++p) {
+          const auto [begin, end] = model_.row(static_cast<StateId>(s), p);
+          if (begin == end) continue;
+          bool inside = true;
+          for (const Outcome* o = begin; o != end && inside; ++o) inside = block_[o->next] == b;
+          if (inside) mask |= std::uint64_t{1} << p;
+        }
+        if (mask != 0) {
+          std::atomic_ref<std::uint64_t>(mecs[local_[b & kIdMask]].phil_mask)
+              .fetch_or(mask, std::memory_order_relaxed);
+        }
+      }
+    });
+    for (std::size_t k = 0; k < mecs.size(); ++k) mecs[k].states.reserve(sizes[k]);
+    for (StateId s = 0; s < n; ++s) {
+      if (block_[s] != kNone) mecs[local_[block_[s] & kIdMask]].states.push_back(s);
+    }
+    return mecs;
+  }
+
+  static constexpr std::uint8_t kLive = 1;
+
+  /// Clears `flag` on i; true iff this call cleared it.
+  bool clear_flag(std::uint32_t i, std::uint8_t flag) {
+    return (std::atomic_ref<std::uint8_t>(mark_[i]).fetch_and(
+                static_cast<std::uint8_t>(~flag), std::memory_order_relaxed) &
+            flag) != 0;
+  }
+
+  const ModelT& model_;
+  int threads_;
+  std::size_t region_;  // blocks up to this size skip the trim
+
+  std::vector<std::uint32_t> block_;   // state -> block label (| kFinal), kNone when dropped
+  std::vector<std::uint32_t> local_;   // state -> local index this round
+  std::vector<std::uint32_t> active_;  // ascending states of the blocks being split
+
+  // Local index space of the current round.
+  std::vector<std::uint32_t> off_, edges_;    // usable-action graph
+  std::vector<std::uint32_t> roff_, redges_;  // its reverse, when reversed_
+  bool reversed_ = false;
+  std::vector<std::uint32_t> scc_;            // SCC label, kNone once dropped
+  std::vector<std::uint32_t> a_, b_;          // per-phase scratch (degrees, DFS)
+  std::vector<std::uint8_t> mark_;            // kLive, or the dirty flag in next_round
 };
 
 template <class ModelT>
@@ -497,95 +597,19 @@ std::vector<EndComponent> maximal_end_components_t(const ModelT& model, std::uin
                                                    const CheckOptions& options) {
   const std::size_t n = model.num_states();
   GDP_CHECK_MSG(n < (std::uint64_t{1} << 31), "parallel MEC decomposition supports < 2^31 states");
-
-  // Candidate fragment: expanded states where no avoid_set member eats.
-  std::vector<std::int64_t> component(n, kRemoved);
-  std::size_t candidates = 0;
-  for (StateId s = 0; s < n; ++s) {
-    if ((model.eaters(s) & avoid_set) == 0 && !model.frontier(s)) {
-      component[s] = 0;
-      ++candidates;
-    }
+  if (common::effective_threads(options.threads, n) <= 1 || n < options.seq_mec_threshold) {
+    return mdp::detail::maximal_end_components_t(model, avoid_set);
   }
-
-  const unsigned workers = common::effective_threads(options.threads, candidates);
-  if (workers <= 1 || candidates < options.seq_mec_threshold) {
+  // Candidate fragment: expanded states where no avoid_set member eats.
+  std::vector<std::uint32_t> candidates = select_ids(n, options.threads, [&](std::uint32_t s) {
+    return (model.eaters(s) & avoid_set) == 0 && !model.frontier(s);
+  });
+  if (common::effective_threads(options.threads, candidates.size()) <= 1 ||
+      candidates.size() < options.seq_mec_threshold) {
     return mdp::detail::maximal_end_components_t(model, avoid_set);
   }
   obs::TimedSpan span("mec.decompose");
-
-  // Refinement fixpoint, as in the sequential decomposition: SCC-split the
-  // partition, drop states with no action closed inside their own block,
-  // repeat until stable. Canonical min-state labels make the cross-round
-  // equality test meaningful.
-  std::vector<std::int64_t> refined(n, kRemoved);
-  std::vector<std::uint8_t> keep(n, 0);
-  while (true) {
-    MecCounters::get().rounds.increment();
-    ParallelScc<ModelT> scc(model, component, options, options.threads);
-    scc.run(refined);
-
-    // Two-phase survival filter, cascaded to its own fixpoint: decide from
-    // the refined snapshot only, then apply, then repeat — one removal can
-    // strand a neighbour's last closed action. Removal order cannot
-    // influence the fixpoint, and cascading here (instead of bouncing back
-    // through a full SCC decomposition per removal wave, as the sequential
-    // code does) keeps the expensive SCC rounds to genuine block splits.
-    while (true) {
-      std::atomic<bool> removed_any{false};
-      common::parallel_for(n, options.threads, [&](std::uint32_t s) {
-        keep[s] = 0;
-        if (component[s] == kRemoved || refined[s] == kRemoved) return;
-        for (int p = 0; p < model.num_phils(); ++p) {
-          const auto [begin, end] = model.row(s, p);
-          if (begin == end) continue;
-          bool inside = true;
-          for (const Outcome* o = begin; o != end && inside; ++o) {
-            inside = refined[o->next] != kRemoved && refined[o->next] == refined[s];
-          }
-          if (inside) {
-            keep[s] = 1;
-            return;
-          }
-        }
-        removed_any.store(true, std::memory_order_relaxed);
-      });
-      if (!removed_any.load(std::memory_order_relaxed)) break;
-      common::parallel_for(n, options.threads, [&](std::uint32_t s) {
-        if (component[s] != kRemoved && refined[s] != kRemoved && !keep[s]) refined[s] = kRemoved;
-      });
-    }
-
-    if (std::equal(component.begin(), component.end(), refined.begin())) break;
-    component.swap(refined);
-  }
-
-  // Collect surviving partitions exactly as the sequential decomposition
-  // does (ascending state scan, first-state-encounter component order), so
-  // the result vectors compare equal element for element.
-  std::vector<std::int64_t> id_remap;
-  std::vector<EndComponent> mecs;
-  for (StateId s = 0; s < n; ++s) {
-    if (component[s] == kRemoved) continue;
-    const auto raw = static_cast<std::size_t>(component[s]);
-    if (raw >= id_remap.size()) id_remap.resize(raw + 1, kRemoved);
-    if (id_remap[raw] == kRemoved) {
-      id_remap[raw] = static_cast<std::int64_t>(mecs.size());
-      mecs.emplace_back();
-    }
-    EndComponent& mec = mecs[static_cast<std::size_t>(id_remap[raw])];
-    mec.states.push_back(s);
-    for (int p = 0; p < model.num_phils(); ++p) {
-      const auto [begin, end] = model.row(s, p);
-      if (begin == end) continue;
-      bool inside = true;
-      for (const Outcome* o = begin; o != end && inside; ++o) {
-        inside = component[o->next] == component[s];
-      }
-      if (inside && p < 64) mec.phil_mask |= (std::uint64_t{1} << p);
-    }
-  }
-  return mecs;
+  return MecDecomposition<ModelT>(model, std::move(candidates), options).run();
 }
 
 template <class ModelT>

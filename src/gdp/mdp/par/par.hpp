@@ -16,12 +16,14 @@
 //     (no sequential fallback) and leave their unexpanded frontier as the
 //     id tail, resumable via gdp::mdp::store.
 //
-//   * maximal_end_components — fork/join SCC decomposition (forward-
-//     backward reachability splitting, sequential Tarjan below a region
-//     threshold) driving the same MEC refinement fixpoint as the
-//     sequential end_components.cpp; small candidate sets fall back to the
-//     sequential decomposition outright. Component sets, their order and
-//     their philosopher masks are identical to the sequential results.
+//   * maximal_end_components — the same MEC refinement fixpoint as the
+//     sequential end_components.cpp, with range-task passes over states,
+//     large blocks split by a parallel trim and then Tarjan, small blocks
+//     by Tarjan as parallel tasks, and later rounds that re-split only the
+//     blocks in which an action stopped being usable; small candidate sets
+//     fall back to the sequential decomposition outright.
+//     Component sets, their order and their philosopher masks are
+//     identical to the sequential results.
 //
 //   * check_fair_progress / check_lockout_freedom — the fair_progress
 //     verdicts computed over the parallel pipeline; identical
@@ -56,8 +58,8 @@ struct CheckOptions {
   /// (thread spawn + CSR construction cost more than they save).
   std::size_t seq_mec_threshold = 16'384;
 
-  /// SCC regions smaller than this run sequential Tarjan instead of
-  /// another forward-backward split.
+  /// Blocks of at most this many states run sequential Tarjan directly,
+  /// without the parallel trim.
   std::size_t seq_scc_region = 8'192;
 };
 

@@ -42,6 +42,7 @@
 #include <vector>
 
 #include "gdp/common/check.hpp"
+#include "gdp/common/counting_sort.hpp"
 #include "gdp/common/pool.hpp"
 #include "gdp/mdp/par/end_components_impl.hpp"
 #include "gdp/mdp/quant/quant.hpp"
@@ -196,15 +197,14 @@ Quotient build_quotient(const ModelT& model, const std::vector<EndComponent>& me
   std::vector<std::size_t> act_base(n, 0), out_base(n, 0);
   q.act_off.assign(q.num_nodes + 1, 0);
   {
-    // Members of node q in ascending state order: reconstructed from the
-    // ascending scan that assigned the ids (MEC state lists are ascending).
-    std::vector<std::vector<StateId>> members(q.num_nodes);
-    for (StateId s = 0; s < n; ++s) {
-      if (is_node(q.node_of[s])) members[q.node_of[s]].push_back(s);
-    }
+    // Members of each node in ascending state order: one counting sort by
+    // node id (keys past num_nodes — the terminals — are left out).
+    const common::Buckets members =
+        common::counting_sort(n, q.num_nodes, [&](std::uint32_t s) { return q.node_of[s]; });
     std::size_t next_act = 0, next_out = 0;
     for (std::uint32_t node = 0; node < q.num_nodes; ++node) {
-      for (const StateId s : members[node]) {
+      for (const StateId* it = members.begin(node); it != members.end(node); ++it) {
+        const StateId s = *it;
         act_base[s] = next_act;
         out_base[s] = next_out;
         next_act += act_count[s];

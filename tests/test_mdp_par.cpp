@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
+#include <random>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -17,6 +19,7 @@
 #include "gdp/graph/builders.hpp"
 #include "gdp/mdp/level_explore.hpp"
 #include "gdp/mdp/par/par.hpp"
+#include "gdp/obs/obs.hpp"
 #include "gdp/sim/state.hpp"
 
 namespace gdp::mdp {
@@ -341,6 +344,294 @@ TEST(ParExplore, DefaultOptionsUseSequentialFallbacksOnTinyModels) {
   expect_models_bit_identical(seq, par_model, 4);
   expect_mecs_identical(maximal_end_components(seq),
                         par::maximal_end_components(par_model, ~std::uint64_t{0}, opts));
+}
+
+// --- Random MDPs: the parallel decomposition against the sequential one
+// and a brute-force oracle. ---
+//
+// The generator plants the shapes each phase of the parallel
+// decomposition is built for: a long DAG chain of small SCCs (what the
+// trim peels and the re-split's common case), one giant SCC (what Tarjan
+// is left with), actions with one outcome leaving their SCC (the
+// refinement's reason to exist), empty rows, eating states and
+// unexpanded frontier states. State ids are shuffled so no phase can lean
+// on id order.
+
+struct RandomMdpShape {
+  std::size_t states = 0;
+  int phils = 3;
+  double giant_share = 0.3;     // states in the planted giant SCC
+  std::size_t chain_group = 3;  // max states per small SCC of the chain
+  double frontier_prob = 0.02;
+};
+
+Model random_mdp(std::uint64_t seed, const RandomMdpShape& shape) {
+  std::mt19937_64 rng(seed);
+  const std::size_t n = shape.states;
+  const int phils = shape.phils;
+  auto uniform = [&](std::size_t bound) {
+    return static_cast<std::size_t>(std::uniform_int_distribution<std::uint64_t>(0, bound - 1)(rng));
+  };
+  auto chance = [&](double p) { return std::uniform_real_distribution<double>(0.0, 1.0)(rng) < p; };
+
+  std::vector<StateId> id(n);  // planted position -> state id
+  for (std::size_t i = 0; i < n; ++i) id[i] = static_cast<StateId>(i);
+  std::shuffle(id.begin(), id.end(), rng);
+
+  // Planted groups over positions: [0, giant) is the giant SCC, the rest a
+  // chain of small groups, each feeding the next.
+  const std::size_t giant = static_cast<std::size_t>(static_cast<double>(n) * shape.giant_share);
+  std::vector<std::size_t> group_begin{0};
+  if (giant > 0) group_begin.push_back(giant);
+  while (group_begin.back() < n) {
+    group_begin.push_back(std::min(n, group_begin.back() + 1 + uniform(shape.chain_group)));
+  }
+  std::vector<std::size_t> group_of(n);
+  for (std::size_t g = 0; g + 1 < group_begin.size(); ++g) {
+    for (std::size_t i = group_begin[g]; i < group_begin[g + 1]; ++i) group_of[i] = g;
+  }
+  const std::size_t groups = group_begin.size() - 1;
+
+  std::vector<bool> frontier(n, false);
+  std::vector<std::uint64_t> eaters(n, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    frontier[id[i]] = i > 0 && chance(shape.frontier_prob);
+    if (chance(0.3)) eaters[id[i]] = uniform(std::size_t{1} << phils);
+  }
+
+  std::vector<std::vector<Outcome>> rows(n * static_cast<std::size_t>(phils));
+  for (std::size_t i = 0; i < n; ++i) {
+    if (frontier[id[i]]) continue;
+    const std::size_t g = group_of[i];
+    const std::size_t lo = group_begin[g], hi = group_begin[g + 1];
+    auto in_group = [&] { return id[lo + uniform(hi - lo)]; };
+    for (int p = 0; p < phils; ++p) {
+      std::vector<StateId> targets;
+      const std::size_t kind = uniform(10);
+      if (kind == 0) {
+        // empty row: p cannot move here
+      } else if (kind <= 4) {
+        // cycle step inside the group (the giant SCC also gets random chords)
+        targets.push_back(id[i + 1 < hi ? i + 1 : lo]);
+        if (g == 0 && giant > 0 && chance(0.3)) targets.push_back(in_group());
+      } else if (kind <= 6) {
+        // down the chain
+        targets.push_back(g + 1 < groups ? id[group_begin[g + 1] + uniform(group_begin[g + 2] -
+                                                                             group_begin[g + 1])]
+                                         : in_group());
+      } else if (kind <= 8) {
+        // half of these also leave the group with their second outcome
+        targets.push_back(in_group());
+        if (chance(0.5)) targets.push_back(id[uniform(n)]);
+      } else {
+        for (std::size_t k = 1 + uniform(3); k > 0; --k) targets.push_back(id[uniform(n)]);
+      }
+      std::vector<Outcome>& row = rows[static_cast<std::size_t>(id[i]) * phils + p];
+      for (const StateId t : targets) {
+        row.push_back(Outcome{1.0f / static_cast<float>(targets.size()), t});
+      }
+    }
+  }
+  std::vector<std::uint64_t> offsets{0};
+  std::vector<Outcome> outcomes;
+  for (const auto& row : rows) {
+    outcomes.insert(outcomes.end(), row.begin(), row.end());
+    offsets.push_back(outcomes.size());
+  }
+  const bool truncated = std::find(frontier.begin(), frontier.end(), true) != frontier.end();
+  return Model::build(phils, std::move(offsets), std::move(outcomes), std::move(eaters),
+                      std::move(frontier), truncated);
+}
+
+/// MECs straight from the definition, for models of at most 12 states:
+/// every candidate subset is tested for closure (each member keeps an
+/// action with all outcomes inside) and strong connectivity under those
+/// actions; the maximal ones, ordered by smallest member, are the MECs.
+std::vector<EndComponent> brute_force_mecs(const Model& model, std::uint64_t avoid_set) {
+  const std::size_t n = model.num_states();
+  GDP_CHECK(n <= 12);
+  std::uint32_t candidates = 0;
+  for (StateId s = 0; s < n; ++s) {
+    if ((model.eaters(s) & avoid_set) == 0 && !model.frontier(s)) candidates |= 1u << s;
+  }
+  auto inside_actions = [&](StateId s, std::uint32_t set) {
+    std::uint64_t mask = 0;
+    for (int p = 0; p < model.num_phils(); ++p) {
+      const auto [begin, end] = model.row(s, p);
+      if (begin == end) continue;
+      bool inside = true;
+      for (const Outcome* o = begin; o != end; ++o) inside = inside && ((set >> o->next) & 1);
+      if (inside) mask |= std::uint64_t{1} << p;
+    }
+    return mask;
+  };
+  auto is_end_component = [&](std::uint32_t set) {
+    StateId first = 0;
+    while (!((set >> first) & 1)) ++first;
+    // Reachability from `first` both ways under the inside actions.
+    std::uint32_t fw = 1u << first, bw = 1u << first;
+    for (bool grew = true; grew;) {
+      grew = false;
+      for (StateId s = 0; s < n; ++s) {
+        if (!((set >> s) & 1)) continue;
+        const std::uint64_t acts = inside_actions(s, set);
+        if (acts == 0) return false;
+        for (int p = 0; p < model.num_phils(); ++p) {
+          if (!((acts >> p) & 1)) continue;
+          const auto [begin, end] = model.row(s, p);
+          for (const Outcome* o = begin; o != end; ++o) {
+            if (((fw >> s) & 1) && !((fw >> o->next) & 1)) {
+              fw |= 1u << o->next;
+              grew = true;
+            }
+            if (((bw >> o->next) & 1) && !((bw >> s) & 1)) {
+              bw |= 1u << s;
+              grew = true;
+            }
+          }
+        }
+      }
+    }
+    return fw == set && bw == set;
+  };
+  std::vector<std::uint32_t> ecs;
+  for (std::uint32_t set = 1; set < (1u << n); ++set) {
+    if ((set & candidates) == set && is_end_component(set)) ecs.push_back(set);
+  }
+  std::vector<std::uint32_t> maximal;
+  for (const std::uint32_t a : ecs) {
+    const bool dominated = std::any_of(ecs.begin(), ecs.end(), [&](std::uint32_t b) {
+      return b != a && (a & b) == a;
+    });
+    if (!dominated) maximal.push_back(a);
+  }
+  std::sort(maximal.begin(), maximal.end(), [](std::uint32_t a, std::uint32_t b) {
+    return std::countr_zero(a) < std::countr_zero(b);
+  });
+  std::vector<EndComponent> mecs;
+  for (const std::uint32_t set : maximal) {
+    EndComponent mec;
+    for (StateId s = 0; s < n; ++s) {
+      if (!((set >> s) & 1)) continue;
+      mec.states.push_back(s);
+      mec.phil_mask |= inside_actions(s, set);
+    }
+    mecs.push_back(std::move(mec));
+  }
+  return mecs;
+}
+
+std::vector<std::uint64_t> masks_for(int phils) {
+  std::vector<std::uint64_t> masks{~std::uint64_t{0}, 0};
+  for (int p = 0; p < phils; ++p) masks.push_back(std::uint64_t{1} << p);
+  return masks;
+}
+
+std::vector<int> thread_counts_with_three() {
+  const int hw = static_cast<int>(std::thread::hardware_concurrency());
+  std::vector<int> counts{1, 2, 3, 4};
+  if (hw > 4) counts.push_back(hw);
+  return counts;
+}
+
+TEST(RandomMdp, TinyModelsMatchTheBruteForceOracle) {
+  for (std::uint64_t seed = 0; seed < 300; ++seed) {
+    RandomMdpShape shape;
+    shape.states = 2 + seed % 11;
+    shape.phils = 2 + static_cast<int>(seed % 2);
+    shape.giant_share = (seed % 3) * 0.25;
+    shape.frontier_prob = 0.1;
+    const Model model = random_mdp(seed, shape);
+    for (const std::uint64_t mask : masks_for(shape.phils)) {
+      SCOPED_TRACE("seed=" + std::to_string(seed) + " mask=" + std::to_string(mask));
+      const auto oracle = brute_force_mecs(model, mask);
+      expect_mecs_identical(oracle, maximal_end_components(model, mask));
+      for (const int threads : {2, 4}) {
+        par::CheckOptions opts;
+        opts.threads = threads;
+        opts.seq_mec_threshold = 1;
+        opts.seq_scc_region = 1;
+        expect_mecs_identical(oracle, par::maximal_end_components(model, mask, opts));
+      }
+    }
+  }
+}
+
+TEST(RandomMdp, ParallelMatchesSequentialAcrossThreadCountsAndRegions) {
+  struct Case {
+    std::uint64_t seed;
+    std::size_t states;
+    double giant_share;
+    std::size_t chain_group;
+  };
+  // Sizes reach past one 4,096-state range so waves and passes run as
+  // pool tasks.
+  for (const Case c : {Case{1, 300, 0.0, 2}, Case{2, 2'000, 0.5, 3}, Case{3, 12'000, 0.6, 4},
+                       Case{4, 30'000, 0.7, 3}, Case{5, 20'000, 0.0, 6}}) {
+    RandomMdpShape shape;
+    shape.states = c.states;
+    shape.giant_share = c.giant_share;
+    shape.chain_group = c.chain_group;
+    const Model model = random_mdp(c.seed, shape);
+    for (const std::uint64_t mask : masks_for(shape.phils)) {
+      const auto seq = maximal_end_components(model, mask);
+      for (const int threads : thread_counts_with_three()) {
+        for (const std::size_t region : {std::size_t{1}, std::size_t{16}, std::size_t{1'024}}) {
+          SCOPED_TRACE("seed=" + std::to_string(c.seed) + " mask=" + std::to_string(mask) +
+                       " threads=" + std::to_string(threads) + " region=" + std::to_string(region));
+          par::CheckOptions opts;
+          opts.threads = threads;
+          opts.seq_mec_threshold = 1;
+          opts.seq_scc_region = region;
+          expect_mecs_identical(seq, par::maximal_end_components(model, mask, opts));
+        }
+      }
+    }
+  }
+}
+
+TEST(RandomMdp, EveryDecompositionPhaseRuns) {
+  // The cross-check above only means something if the planted shapes
+  // actually drive the trim, Tarjan on a trimmed block and the re-split;
+  // the timing-plane counters say which ran.
+  RandomMdpShape shape;
+  shape.states = 30'000;
+  shape.giant_share = 0.7;
+  const Model model = random_mdp(4, shape);
+  obs::set_enabled(true);
+  obs::Registry::global().reset();
+  par::CheckOptions opts;
+  opts.threads = 4;
+  opts.seq_mec_threshold = 1;
+  opts.seq_scc_region = 16;
+  const auto mecs = par::maximal_end_components(model, 0, opts);
+  auto& registry = obs::Registry::global();
+  const auto counter = [&](const char* name) {
+    return registry.counter(name, obs::Plane::kTiming).value();
+  };
+  EXPECT_GT(counter("mec.trimmed_states"), 0u);
+  EXPECT_GT(counter("mec.tarjan_regions"), 0u);
+  EXPECT_GT(counter("mec.resplit_blocks"), 0u);
+  EXPECT_GT(counter("mec.refinement_rounds"), 1u);
+  obs::set_enabled(false);
+  obs::Registry::global().reset();
+  expect_mecs_identical(maximal_end_components(model, 0), mecs);
+}
+
+TEST(ParMec, SixFigureModelEveryMaskAtDefaultThresholds) {
+  // Production thresholds on a model far above seq_mec_threshold: the
+  // masks the verdicts and the quantitative checker decompose (~0 for
+  // progress, 0 for p_trap, every singleton for lockout-freedom).
+  const auto algo = algos::make_algorithm("gdp2");
+  par::CheckOptions opts;
+  opts.threads = 4;
+  const Model model = par::explore(*algo, graph::classic_ring(3), opts);
+  ASSERT_GE(model.num_states(), 100'000u);
+  for (const std::uint64_t mask : masks_for(model.num_phils())) {
+    SCOPED_TRACE("mask=" + std::to_string(mask));
+    expect_mecs_identical(maximal_end_components(model, mask),
+                          par::maximal_end_components(model, mask, opts));
+  }
 }
 
 // --- The parallel interner against a reference interner. ---
