@@ -3,7 +3,8 @@
 # Usage: ./ci.sh [--no-sanitize]   — perfbench unit tests, then the full
 #                                    build+test matrix
 #        ./ci.sh lint              — static-analysis gate only:
-#                                    gdp_lint self-test + repo scan, and the
+#                                    gdp_lint self-test + repo scan, the
+#                                    compare_reports.py self-test, and the
 #                                    Clang -Werror=thread-safety build when a
 #                                    clang++ is available (CI pins one; local
 #                                    GCC-only machines skip it with a notice).
@@ -27,6 +28,8 @@ lint_pass() {
   python3 tools/lint/gdp_lint.py --self-test tests/lint_fixtures
   echo "=== lint: gdp_lint repo scan ==="
   python3 tools/lint/gdp_lint.py src tests bench examples
+  echo "=== lint: compare_reports self-test (fixture run reports) ==="
+  python3 tools/obs/compare_reports.py --self-test tests/obs_fixtures
 
   local clangxx=""
   for c in clang++ clang++-20 clang++-19 clang++-18 clang++-17 clang++-16; do

@@ -57,7 +57,7 @@ void parallel_for(std::size_t total, int threads, const std::function<void(std::
 
   // Timing plane, all three: steals depend on scheduling outright, and the
   // call/task totals describe how work was *executed*, not what work was
-  // done — seq-vs-par dispatch (parallel_chunk_max, the MEC fallback) keys
+  // done — seq-vs-par dispatch (parallel_ranges, the MEC fallback) keys
   // on the requested thread count, so these totals are not thread-count
   // invariant. References resolved once; the registry never moves them.
   static obs::Counter& calls =
@@ -135,16 +135,6 @@ void parallel_ranges(std::size_t total, int threads,
     const std::size_t lo = std::size_t{r} * kRangeSize;
     body(lo, std::min(total, lo + kRangeSize));
   });
-}
-
-double parallel_chunk_max(std::size_t total, int threads,
-                          const std::function<double(std::size_t, std::size_t)>& body) {
-  std::vector<double> partial((total + kRangeSize - 1) / kRangeSize);
-  parallel_ranges(total, threads,
-                  [&](std::size_t lo, std::size_t hi) { partial[lo / kRangeSize] = body(lo, hi); });
-  double best = -std::numeric_limits<double>::infinity();
-  for (const double p : partial) best = std::max(best, p);
-  return best;
 }
 
 }  // namespace gdp::common

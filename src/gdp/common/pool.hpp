@@ -28,14 +28,18 @@
 // under cmake -DGDP_THREAD_SAFETY=ON.
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <optional>
 #include <thread>
 #include <utility>
+#include <vector>
 
 namespace gdp::common {
 
@@ -132,13 +136,26 @@ void parallel_ranges(std::size_t total, int threads,
                      const std::function<void(std::size_t, std::size_t)>& body);
 
 /// Deterministic parallel max-reduction over contiguous index chunks:
-/// runs body(lo, hi) per parallel_ranges range and folds the per-range
-/// results in ascending range order. Because IEEE max is associative and
+/// runs body(lo, hi) — which returns K per-range maxima as a
+/// std::array<double, K> — per parallel_ranges range and folds the results
+/// in ascending range order. Because IEEE max is associative and
 /// commutative and the fold order is pinned, the result is bit-identical
-/// at every thread count — the reduction the
-/// quantitative checker's Bellman sweeps use for residuals and interval
-/// widths. Returns -inf for total == 0.
-double parallel_chunk_max(std::size_t total, int threads,
-                          const std::function<double(std::size_t, std::size_t)>& body);
+/// at every thread count — the reduction the quantitative checker's
+/// Bellman sweeps use for residuals and interval widths, K at a time so
+/// one pass can update both bounds and return both maxima. Each entry is
+/// -inf for total == 0.
+template <std::size_t K, class Body>
+std::array<double, K> parallel_chunk_max(std::size_t total, int threads, const Body& body) {
+  std::vector<std::array<double, K>> partial((total + kRangeSize - 1) / kRangeSize);
+  parallel_ranges(total, threads, [&](std::size_t lo, std::size_t hi) {
+    partial[lo / kRangeSize] = body(lo, hi);
+  });
+  std::array<double, K> best;
+  best.fill(-std::numeric_limits<double>::infinity());
+  for (const auto& p : partial) {
+    for (std::size_t k = 0; k < K; ++k) best[k] = std::max(best[k], p[k]);
+  }
+  return best;
+}
 
 }  // namespace gdp::common

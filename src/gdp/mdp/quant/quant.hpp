@@ -58,11 +58,13 @@
 // [0, 1] (probabilities) / [0, +inf) (times) and certainty is kTruncated.
 //
 // Determinism. Sweeps are Jacobi (read the previous vector, write the
-// next), run as state-range parallel_for chunks on the shared
-// gdp::common::pool with residuals folded by the deterministic
-// parallel_chunk_max reduction, so every interval endpoint is bit-identical
-// at every thread count — the same contract gdp::exp and gdp::mdp::par
-// keep. Domains below seq_sweep_threshold run the sweeps inline.
+// next). Each sweep is one pass of common::parallel_ranges ranges on the
+// shared gdp::common::pool: a range updates its elements' bounds and
+// returns its residual maxima, which are folded in ascending range order.
+// Range boundaries depend only on the domain size and IEEE max is exact, so
+// every interval endpoint and sweep count is bit-identical at every thread
+// count — the same contract gdp::exp and gdp::mdp::par keep. Domains below
+// seq_sweep_threshold run the sweeps inline.
 #pragma once
 
 #include <cstdint>
@@ -138,9 +140,9 @@ struct QuantOptions {
 
 /// Per-phase iteration accounting for one analyze() call. Sweep counts are
 /// deterministic (bit-identical at every thread count): each phase stops on
-/// thresholds of residuals computed by the deterministic parallel_chunk_max
-/// reduction. A "stalled" phase ran but ended without certifying — the
-/// width float-locked, frontier mass kept it open, or max_iterations hit.
+/// thresholds of residuals folded in range order (see Determinism above).
+/// A "stalled" phase ran but ended without certifying — the width
+/// float-locked, frontier mass kept it open, or max_iterations hit.
 /// Exported through the obs registry as quant.sweeps_* / quant.stalled_phases.
 struct AnalyzeStats {
   std::size_t p_max_sweeps = 0;

@@ -20,24 +20,40 @@
 // actions, or they would be an EC themselves). Node ids, action order and
 // outcome order are assigned by one ascending state scan, so the quotient
 // bytes are identical for every thread count; the parallel passes only fill
-// precomputed disjoint ranges. Once built, the quotient is a compact
-// self-contained structure: the Bellman sweeps over it never touch the
-// model again, which is what keeps the chunk-native path's working set to
-// the hot chunks plus the quotient.
+// precomputed disjoint ranges. Within a node, an action whose outcome list
+// (destinations and float probability bits, in order) repeats an earlier
+// one is dropped, keeping the first occurrence in (member ascending,
+// philosopher) order: every operator here takes a max over a node's
+// actions, and the max over a multiset is the max over its set. The
+// quotient is compact — 32-bit offsets, 4-byte destinations and the
+// model's own float probabilities, 8 bytes per outcome — and
+// self-contained: the Bellman sweeps over it never touch the model again,
+// which is what keeps the chunk-native path's working set to the hot
+// chunks plus the quotient.
+//
+// e_min charges MEC-internal steps, so it runs over raw states rather than
+// the quotient; it too is compiled once per target into the same CSR form
+// (see compile_time_min), so its sweeps never touch the model either.
 //
 // All Bellman sweeps are Jacobi (read prev, write next) with monotone
 // clamps (lower = max(old, T(old)), upper = min(old, T(old)) — both sides
 // of each clamp are valid bounds, so clamping preserves soundness and
-// enforces the monotonicity the property tests pin). Expected-time upper
-// bounds come from optimistic value iteration: guess U = (1 + d) * L,
+// enforces the monotonicity the property tests pin). Each sweep is one
+// pass over common::parallel_ranges ranges: it reads each action's
+// outcomes once for every bound it updates and returns the range's
+// residual maxima, folded in range order (common::parallel_chunk_max), so
+// a sweep is one pool call. Expected-time
+// upper bounds come from optimistic value iteration: guess U = (1 + d) * L,
 // accept only when T(U) <= U pointwise (which proves U >= the true value
 // by monotone unrolling), then co-iterate both bounds down to epsilon.
 #pragma once
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
 #include <cstdint>
-#include <functional>
+#include <cstring>
 #include <limits>
 #include <vector>
 
@@ -60,39 +76,36 @@ inline constexpr std::uint32_t kAbsent = 0xFFFFFFFDu;   // unreachable state (ne
 
 inline bool is_node(std::uint32_t c) { return c < kAbsent; }
 
-/// Runs body(lo, hi) over [0, total): inline when the domain is small or
-/// threads == 1, otherwise in fixed 2048-index chunks on the pool. Chunk
-/// boundaries depend only on total, and every chunk writes disjoint ranges,
-/// so results are identical either way.
-inline void for_range(std::size_t total, int threads, bool parallel,
-                      const std::function<void(std::size_t, std::size_t)>& body) {
-  constexpr std::size_t kChunk = 2'048;
-  if (total == 0) return;
-  if (!parallel || threads == 1 || total < 2 * kChunk) {
-    body(0, total);
-    return;
-  }
-  const std::size_t chunks = (total + kChunk - 1) / kChunk;
-  common::parallel_for(chunks, threads, [&](std::uint32_t c) {
-    body(std::size_t{c} * kChunk, std::min(total, (std::size_t{c} + 1) * kChunk));
-  });
+/// Refuses a CSR whose `count` actions or outcomes (named by `what`) do not
+/// fit its 32-bit offsets. The offset arrays hold count + 1 entries up to
+/// `count`, so the largest accepted count is 2^32 - 2.
+inline void check_csr_offsets(std::size_t count, const char* what) {
+  GDP_CHECK_MSG(count < std::size_t{0xFFFFFFFFu},
+                "quant: " << count << " " << what
+                          << " do not fit the quotient's 32-bit offsets (at most 4294967294)");
 }
 
-/// The MEC quotient of one fragment of the model (see file comment).
-struct Quotient {
+/// Node-major CSR of actions: node i's actions are [act_off[i],
+/// act_off[i + 1]), action a's outcomes [out_off[a], out_off[a + 1]).
+/// `prob` holds the model's own floats (widened at use, which gives the
+/// same double the model would).
+struct Csr {
   std::uint32_t num_nodes = 0;
+  std::vector<std::uint32_t> act_off;  // num_nodes + 1
+  std::vector<std::uint32_t> out_off;  // act_off[num_nodes] + 1
+  std::vector<float> prob;
+  std::vector<std::uint32_t> dest;  // node id / kGoal / kUnknown
+
+  bool has_actions(std::uint32_t i) const { return act_off[i + 1] > act_off[i]; }
+  std::size_t num_actions() const { return out_off.empty() ? 0 : out_off.size() - 1; }
+};
+
+/// The MEC quotient of one fragment of the model (see file comment).
+struct Quotient : Csr {
   std::uint32_t initial = kAbsent;  // class of model.initial()
 
   std::vector<std::uint32_t> node_of;  // state -> node id / kGoal / kUnknown / kAbsent
   std::vector<std::int32_t> mec_node;  // mec index -> node id (-1: no reachable member)
-
-  // Node-major CSR of external actions.
-  std::vector<std::size_t> act_off;  // num_nodes + 1
-  std::vector<std::size_t> out_off;  // act_off[num_nodes] + 1
-  std::vector<double> prob;
-  std::vector<std::uint32_t> dest;  // node id / kGoal / kUnknown
-
-  bool has_actions(std::uint32_t q) const { return act_off[q + 1] > act_off[q]; }
 
   /// Nodes reachable from `initial` along quotient edges (empty when the
   /// initial state is itself a terminal).
@@ -104,8 +117,8 @@ struct Quotient {
     while (!stack.empty()) {
       const std::uint32_t q = stack.back();
       stack.pop_back();
-      for (std::size_t a = act_off[q]; a < act_off[q + 1]; ++a) {
-        for (std::size_t o = out_off[a]; o < out_off[a + 1]; ++o) {
+      for (std::uint32_t a = act_off[q]; a < act_off[q + 1]; ++a) {
+        for (std::uint32_t o = out_off[a]; o < out_off[a + 1]; ++o) {
           const std::uint32_t d = dest[o];
           if (is_node(d) && !seen[d]) {
             seen[d] = 1;
@@ -117,6 +130,107 @@ struct Quotient {
     return seen;
   }
 };
+
+/// True iff actions a and b of `g` have the same outcome list: the same
+/// destinations and the same float probability bits, in the same order.
+inline bool same_action(const Csr& g, std::uint32_t a, std::uint32_t b) {
+  const std::uint32_t len = g.out_off[a + 1] - g.out_off[a];
+  if (g.out_off[b + 1] - g.out_off[b] != len) return false;
+  const std::uint32_t oa = g.out_off[a], ob = g.out_off[b];
+  return std::memcmp(g.dest.data() + oa, g.dest.data() + ob, len * sizeof(std::uint32_t)) == 0 &&
+         std::memcmp(g.prob.data() + oa, g.prob.data() + ob, len * sizeof(float)) == 0;
+}
+
+inline std::uint64_t action_hash(const Csr& g, std::uint32_t a) {
+  std::uint64_t h = 0x9E3779B97F4A7C15ull;
+  for (std::uint32_t o = g.out_off[a]; o < g.out_off[a + 1]; ++o) {
+    std::uint32_t bits;
+    std::memcpy(&bits, &g.prob[o], sizeof bits);
+    h ^= (std::uint64_t{g.dest[o]} << 32) | bits;
+    h *= 0xBF58476D1CE4E5B9ull;
+    h ^= h >> 29;
+  }
+  return h;
+}
+
+/// Drops every action of `raw` whose outcome list repeats an earlier action
+/// of the same node, keeping first occurrences in their original order.
+/// Nodes are independent, so this runs over parallel node ranges: one pass
+/// marks the survivors and counts them per node, a sequential prefix places
+/// each node, and a second pass copies. Returns `raw` itself (moved) when
+/// nothing repeats.
+inline Csr dedup_actions(Csr raw, int threads, std::size_t& duplicates) {
+  const std::uint32_t nodes = raw.num_nodes;
+  constexpr std::uint32_t kEmpty = 0xFFFFFFFFu;
+  constexpr std::uint32_t kLinearScan = 8;  // below this, compare pairwise
+  std::vector<std::uint8_t> keep(raw.num_actions(), 1);
+  std::vector<std::uint32_t> kept_acts(nodes, 0), kept_outs(nodes, 0);
+  common::parallel_ranges(nodes, threads, [&](std::size_t lo, std::size_t hi) {
+    std::vector<std::uint32_t> table;  // open addressing over action ids
+    for (std::size_t i = lo; i < hi; ++i) {
+      const std::uint32_t first = raw.act_off[i], last = raw.act_off[i + 1];
+      const std::uint32_t k = last - first;
+      if (k <= kLinearScan) {
+        for (std::uint32_t a = first + 1; a < last; ++a) {
+          for (std::uint32_t b = first; b < a && keep[a]; ++b) {
+            if (keep[b] && same_action(raw, a, b)) keep[a] = 0;
+          }
+        }
+      } else {
+        const std::size_t slots = std::bit_ceil(std::size_t{2} * k);
+        table.assign(slots, kEmpty);
+        for (std::uint32_t a = first; a < last; ++a) {
+          std::size_t slot = action_hash(raw, a) & (slots - 1);
+          for (; table[slot] != kEmpty; slot = (slot + 1) & (slots - 1)) {
+            if (same_action(raw, a, table[slot])) {
+              keep[a] = 0;
+              break;
+            }
+          }
+          if (keep[a]) table[slot] = a;
+        }
+      }
+      std::uint32_t acts = 0, outs = 0;
+      for (std::uint32_t a = first; a < last; ++a) {
+        if (!keep[a]) continue;
+        ++acts;
+        outs += raw.out_off[a + 1] - raw.out_off[a];
+      }
+      kept_acts[i] = acts;
+      kept_outs[i] = outs;
+    }
+  });
+
+  Csr out;
+  out.num_nodes = nodes;
+  out.act_off.assign(std::size_t{nodes} + 1, 0);
+  std::vector<std::uint32_t> out_base(nodes, 0);
+  std::uint32_t next_out = 0;
+  for (std::uint32_t i = 0; i < nodes; ++i) {
+    out.act_off[i + 1] = out.act_off[i] + kept_acts[i];
+    out_base[i] = next_out;
+    next_out += kept_outs[i];
+  }
+  duplicates = raw.num_actions() - out.act_off[nodes];
+  if (duplicates == 0) return raw;
+  out.out_off.assign(std::size_t{out.act_off[nodes]} + 1, 0);
+  out.prob.resize(next_out);
+  out.dest.resize(next_out);
+  common::parallel_ranges(nodes, threads, [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t i = lo; i < hi; ++i) {
+      std::uint32_t a_to = out.act_off[i], o_to = out_base[i];
+      for (std::uint32_t a = raw.act_off[i]; a < raw.act_off[i + 1]; ++a) {
+        if (!keep[a]) continue;
+        for (std::uint32_t o = raw.out_off[a]; o < raw.out_off[a + 1]; ++o, ++o_to) {
+          out.prob[o_to] = raw.prob[o];
+          out.dest[o_to] = raw.dest[o];
+        }
+        out.out_off[++a_to] = o_to;
+      }
+    }
+  });
+  return out;
+}
 
 /// Builds the quotient over the `reached` states. States matching
 /// `target_mask` eaters become the kGoal terminal when `target_terminal`
@@ -131,7 +245,7 @@ Quotient build_quotient(const ModelT& model, const std::vector<EndComponent>& me
                         bool target_terminal, const QuantOptions& options) {
   const std::size_t n = model.num_states();
   const int phils = model.num_phils();
-  const bool parallel = n >= options.seq_sweep_threshold;
+  const int threads = n >= options.seq_sweep_threshold ? options.threads : 1;
 
   Quotient q;
   q.node_of.assign(n, kAbsent);
@@ -166,42 +280,59 @@ Quotient build_quotient(const ModelT& model, const std::vector<EndComponent>& me
   }
   q.initial = reached[model.initial()] ? q.node_of[model.initial()] : kAbsent;
 
+  // Calls fn(begin, end) for every external action of node member s.
+  auto for_each_external = [&](std::size_t s, const auto& fn) {
+    const std::uint32_t me = q.node_of[s];
+    const bool in_mec = mec_of[s] >= 0;
+    for (int p = 0; p < phils; ++p) {
+      const auto [begin, end] = model.row(static_cast<StateId>(s), p);
+      if (begin == end) continue;
+      if (in_mec) {
+        bool internal = true;
+        for (const Outcome* o = begin; o != end && internal; ++o) {
+          internal = q.node_of[o->next] == me;
+        }
+        if (internal) continue;  // dwell inside the MEC: collapsed away
+      }
+      fn(begin, end);
+    }
+  };
+
   // External-action and outcome counts per state (parallel; disjoint writes).
   std::vector<std::uint32_t> act_count(n, 0), out_count(n, 0);
-  for_range(n, options.threads, parallel, [&](std::size_t lo, std::size_t hi) {
+  common::parallel_ranges(n, threads, [&](std::size_t lo, std::size_t hi) {
     for (std::size_t s = lo; s < hi; ++s) {
       if (!is_node(q.node_of[s])) continue;
-      const std::uint32_t me = q.node_of[s];
-      const bool in_mec = mec_of[s] >= 0;
       std::uint32_t acts = 0, outs = 0;
-      for (int p = 0; p < phils; ++p) {
-        const auto [begin, end] = model.row(static_cast<StateId>(s), p);
-        if (begin == end) continue;
-        if (in_mec) {
-          bool internal = true;
-          for (const Outcome* o = begin; o != end && internal; ++o) {
-            internal = q.node_of[o->next] == me;
-          }
-          if (internal) continue;  // dwell inside the MEC: collapsed away
-        }
+      for_each_external(s, [&](const Outcome* begin, const Outcome* end) {
         ++acts;
         outs += static_cast<std::uint32_t>(end - begin);
-      }
+      });
       act_count[s] = acts;
       out_count[s] = outs;
     }
   });
+  std::size_t total_acts = 0, total_outs = 0;
+  for (std::size_t s = 0; s < n; ++s) {
+    total_acts += act_count[s];
+    total_outs += out_count[s];
+  }
+  // Checked before deduplication: the raw quotient uses the same offsets.
+  check_csr_offsets(total_acts, "quotient actions");
+  check_csr_offsets(total_outs, "quotient outcomes");
 
   // Per-node offsets and per-state write bases, in (node, member-state
   // ascending) order — one sequential prefix pass, as in par::explore.
-  std::vector<std::size_t> act_base(n, 0), out_base(n, 0);
-  q.act_off.assign(q.num_nodes + 1, 0);
+  Csr raw;
+  raw.num_nodes = q.num_nodes;
+  std::vector<std::uint32_t> act_base(n, 0), out_base(n, 0);
+  raw.act_off.assign(std::size_t{q.num_nodes} + 1, 0);
   {
     // Members of each node in ascending state order: one counting sort by
     // node id (keys past num_nodes — the terminals — are left out).
     const common::Buckets members =
         common::counting_sort(n, q.num_nodes, [&](std::uint32_t s) { return q.node_of[s]; });
-    std::size_t next_act = 0, next_out = 0;
+    std::uint32_t next_act = 0, next_out = 0;
     for (std::uint32_t node = 0; node < q.num_nodes; ++node) {
       for (const StateId* it = members.begin(node); it != members.end(node); ++it) {
         const StateId s = *it;
@@ -210,41 +341,38 @@ Quotient build_quotient(const ModelT& model, const std::vector<EndComponent>& me
         next_act += act_count[s];
         next_out += out_count[s];
       }
-      q.act_off[node + 1] = next_act;
+      raw.act_off[node + 1] = next_act;
     }
-    q.out_off.assign(next_act + 1, 0);
-    q.prob.resize(next_out);
-    q.dest.resize(next_out);
+    raw.out_off.assign(std::size_t{next_act} + 1, 0);
+    raw.prob.resize(next_out);
+    raw.dest.resize(next_out);
   }
 
   // Fill (parallel; each state owns its precomputed ranges).
-  for_range(n, options.threads, parallel, [&](std::size_t lo, std::size_t hi) {
+  common::parallel_ranges(n, threads, [&](std::size_t lo, std::size_t hi) {
     for (std::size_t s = lo; s < hi; ++s) {
       if (!is_node(q.node_of[s])) continue;
-      const std::uint32_t me = q.node_of[s];
-      const bool in_mec = mec_of[s] >= 0;
-      std::size_t a = act_base[s];
-      std::size_t o_at = out_base[s];
-      for (int p = 0; p < phils; ++p) {
-        const auto [begin, end] = model.row(static_cast<StateId>(s), p);
-        if (begin == end) continue;
-        if (in_mec) {
-          bool internal = true;
-          for (const Outcome* o = begin; o != end && internal; ++o) {
-            internal = q.node_of[o->next] == me;
-          }
-          if (internal) continue;
+      std::uint32_t a = act_base[s];
+      std::uint32_t o_at = out_base[s];
+      for_each_external(s, [&](const Outcome* begin, const Outcome* end) {
+        for (const Outcome* o = begin; o != end; ++o, ++o_at) {
+          raw.prob[o_at] = o->prob;
+          raw.dest[o_at] = q.node_of[o->next];
         }
-        for (const Outcome* o = begin; o != end; ++o) {
-          q.prob[o_at] = static_cast<double>(o->prob);
-          q.dest[o_at] = q.node_of[o->next];
-          ++o_at;
-        }
-        q.out_off[a + 1] = o_at;  // row end; globally monotone by construction
-        ++a;
-      }
+        raw.out_off[++a] = o_at;  // row end; globally monotone by construction
+      });
     }
   });
+
+  std::size_t duplicates = 0;
+  static_cast<Csr&>(q) = dedup_actions(std::move(raw), threads, duplicates);
+
+  static obs::Counter& actions_ctr = obs::Registry::global().counter("quant.quotient_actions");
+  static obs::Counter& outcomes_ctr = obs::Registry::global().counter("quant.quotient_outcomes");
+  static obs::Counter& duplicates_ctr = obs::Registry::global().counter("quant.duplicate_actions");
+  actions_ctr.add(q.num_actions());
+  outcomes_ctr.add(q.dest.size());
+  duplicates_ctr.add(duplicates);
   return q;
 }
 
@@ -254,23 +382,33 @@ struct Phase {
   bool converged = false;
 };
 
-/// One max-Bellman evaluation of node `i` against value vector `val`.
-/// `goal` / `unknown` are the terminal values, `cost` is 1 for expected
-/// times and 0 for probabilities. Nodes without external actions return
-/// `sink` (never reach the goal: probability 0 / time +inf).
-inline double bell_max(const Quotient& q, std::uint32_t i, const std::vector<double>& val,
-                       double goal, double unknown, double cost, double sink) {
-  double best = -kInf;
-  for (std::size_t a = q.act_off[i]; a < q.act_off[i + 1]; ++a) {
-    double acc = cost;
-    for (std::size_t o = q.out_off[a]; o < q.out_off[a + 1]; ++o) {
-      const std::uint32_t d = q.dest[o];
-      const double v = d == kGoal ? goal : d == kUnknown ? unknown : val[d];
-      acc += q.prob[o] * v;
+/// Unit-cost Bellman evaluation of element `i` against K value vectors at
+/// once, so one read of i's actions and outcomes serves every bound: each
+/// action costs one step plus the expected value of its outcomes (terminal
+/// destinations count 0 steps), and the result is the max (kMax) or min
+/// over i's actions — +inf when i has none (a dead end never reaches the
+/// goal).
+template <bool kMax, std::size_t K>
+std::array<double, K> bell_time(const Csr& g, std::uint32_t i,
+                                const std::array<const double*, K>& val) {
+  std::array<double, K> best;
+  best.fill(kMax ? -kInf : kInf);
+  for (std::uint32_t a = g.act_off[i]; a < g.act_off[i + 1]; ++a) {
+    std::array<double, K> acc;
+    acc.fill(1.0);
+    for (std::uint32_t o = g.out_off[a]; o < g.out_off[a + 1]; ++o) {
+      const std::uint32_t d = g.dest[o];
+      const double p = static_cast<double>(g.prob[o]);
+      for (std::size_t k = 0; k < K; ++k) acc[k] += p * (is_node(d) ? val[k][d] : 0.0);
     }
-    best = std::max(best, acc);
+    for (std::size_t k = 0; k < K; ++k) {
+      best[k] = kMax ? std::max(best[k], acc[k]) : std::min(best[k], acc[k]);
+    }
   }
-  return best == -kInf ? sink : best;
+  if constexpr (kMax) {
+    for (double& b : best) b = b == -kInf ? kInf : b;
+  }
+  return best;
 }
 
 /// Interval iteration for max reachability probability on the quotient.
@@ -283,7 +421,7 @@ inline Phase iterate_reach_max(const Quotient& q, const std::vector<double>& pin
                                double goal_value, const QuantOptions& options,
                                std::vector<double>& lo, std::vector<double>& hi) {
   const std::size_t n = q.num_nodes;
-  const bool parallel = n >= options.seq_sweep_threshold;
+  const int threads = n >= options.seq_sweep_threshold ? options.threads : 1;
   lo.assign(n, 0.0);
   hi.assign(n, 1.0);
   std::vector<double> lo2(n), hi2(n);
@@ -310,29 +448,49 @@ inline Phase iterate_reach_max(const Quotient& q, const std::vector<double>& pin
   static obs::Gauge& width_gauge =
       obs::Registry::global().gauge("quant.bracket_width_ppb", obs::Plane::kTiming);
   while (phase.sweeps < options.max_iterations) {
-    for_range(n, options.threads, parallel, [&](std::size_t a, std::size_t b) {
-      for (std::size_t i = a; i < b; ++i) {
-        if (fixed[i]) continue;
-        const auto node = static_cast<std::uint32_t>(i);
-        // The [0, 1] clamp keeps float rounding honest: outcome
-        // probabilities are stored as floats and a row's mass can sum to
-        // just above 1, which would otherwise push a "lower bound" past
-        // the true probability ceiling.
-        lo2[i] = std::min(1.0, std::max(lo[i], bell_max(q, node, lo, goal_value, 0.0, 0.0, 0.0)));
-        hi2[i] = std::max(0.0, std::min(hi[i], bell_max(q, node, hi, goal_value, 1.0, 0.0, 0.0)));
-      }
-    });
+    // One pass: both bounds from one read of each action's outcomes, plus
+    // this range's bracket width and movement.
+    const auto [width, moved] =
+        common::parallel_chunk_max<2>(n, threads, [&](std::size_t a, std::size_t b) {
+          double w = 0.0, d = 0.0;
+          for (std::size_t i = a; i < b; ++i) {
+            if (!fixed[i]) {
+              double best_lo = -kInf, best_hi = -kInf;
+              for (std::uint32_t act = q.act_off[i]; act < q.act_off[i + 1]; ++act) {
+                double acc_lo = 0.0;
+                double acc_hi = 0.0;
+                for (std::uint32_t o = q.out_off[act]; o < q.out_off[act + 1]; ++o) {
+                  const std::uint32_t t = q.dest[o];
+                  const double p = static_cast<double>(q.prob[o]);
+                  if (t == kGoal) {
+                    acc_lo += p * goal_value;
+                    acc_hi += p * goal_value;
+                  } else if (t == kUnknown) {
+                    acc_lo += p * 0.0;
+                    acc_hi += p * 1.0;
+                  } else {
+                    acc_lo += p * lo[t];
+                    acc_hi += p * hi[t];
+                  }
+                }
+                best_lo = std::max(best_lo, acc_lo);
+                best_hi = std::max(best_hi, acc_hi);
+              }
+              // has_actions(i), so both maxima are finite. The [0, 1] clamp
+              // keeps float rounding honest: outcome probabilities are
+              // floats and a row's mass can sum to just above 1, which would
+              // otherwise push a "lower bound" past the probability ceiling.
+              lo2[i] = std::min(1.0, std::max(lo[i], best_lo));
+              hi2[i] = std::max(0.0, std::min(hi[i], best_hi));
+            }
+            w = std::max(w, hi2[i] - lo2[i]);
+            d = std::max(d, std::max(lo2[i] - lo[i], hi[i] - hi2[i]));
+          }
+          return std::array<double, 2>{w, d};
+        });
     lo.swap(lo2);
     hi.swap(hi2);
     ++phase.sweeps;
-    const double width = common::parallel_chunk_max(n, options.threads,
-                                                    [&](std::size_t a, std::size_t b) {
-                                                      double w = 0.0;
-                                                      for (std::size_t i = a; i < b; ++i) {
-                                                        w = std::max(w, hi[i] - lo[i]);
-                                                      }
-                                                      return w;
-                                                    });
     obs::timeline::counter_sample("quant.bracket_width", width);
     width_gauge.set(static_cast<std::uint64_t>(width * 1e9));
     if (width <= options.epsilon) {
@@ -342,26 +500,16 @@ inline Phase iterate_reach_max(const Quotient& q, const std::vector<double>& pin
     // Stall detection: when both bounds have (numerically) stopped moving
     // the remaining width is irreducible — frontier mass on a truncated
     // model, or a float-locked gap — and further sweeps cannot certify.
-    // lo2/hi2 hold the previous sweep after the swaps above.
-    const double moved = common::parallel_chunk_max(
-        n, options.threads, [&](std::size_t a, std::size_t b) {
-          double d = 0.0;
-          for (std::size_t i = a; i < b; ++i) {
-            d = std::max(d, std::max(lo[i] - lo2[i], hi2[i] - hi[i]));
-          }
-          return d;
-        });
     if (moved <= options.epsilon * 1e-3) break;  // honest non-convergence
   }
   return phase;
 }
 
 /// Shared lower-iterate / optimistic-upper-verify driver for the two
-/// expected-time kernels. `update_lower(i)` returns the clamped next lower
-/// value of element i; `apply_upper(src, dst)` writes one Bellman sweep of
-/// the candidate upper bound; `active(i)` selects the domain. On truncated
-/// models (`complete` == false) only the lower bound is iterated — frontier
-/// states forbid any finite upper certificate.
+/// expected-time kernels over the CSR `g` (bell_time<kMax>); `active(i)`
+/// selects the domain; `threads` is the pool width (1 runs every pass
+/// inline). On truncated models (`complete` == false) only the lower bound
+/// is iterated — frontier states forbid any finite upper certificate.
 ///
 /// The verification step is the OVI argument: if T(U) <= U pointwise then
 /// monotone unrolling gives U >= E[truncated k-step cost] for every k, so U
@@ -370,53 +518,41 @@ inline Phase iterate_reach_max(const Quotient& q, const std::vector<double>& pin
 /// their gap is <= epsilon on every active, finite element. An element
 /// whose LOWER bound diverges to +inf is a certificate of infinity in
 /// itself and is excluded from the width test ([inf, inf] has width 0).
-template <typename Active, typename UpdateLower, typename ApplyUpper>
-Phase drive_time_bounds(std::size_t n, bool complete, const QuantOptions& options,
-                        const Active& active, const UpdateLower& update_lower,
-                        const ApplyUpper& apply_upper, std::vector<double>& lo,
-                        std::vector<double>& hi) {
-  const bool parallel = n >= options.seq_sweep_threshold;
+template <bool kMax, typename Active>
+Phase drive_time_bounds(const Csr& g, bool complete, int threads, const QuantOptions& options,
+                        const Active& active, std::vector<double>& lo, std::vector<double>& hi) {
+  const std::size_t n = g.num_nodes;
+  auto bell = [&g](std::size_t i, const std::vector<double>& val) {
+    return bell_time<kMax, 1>(g, static_cast<std::uint32_t>(i), {val.data()})[0];
+  };
   lo.assign(n, 0.0);
   hi.assign(n, kInf);
   std::vector<double> lo2(lo), up(n, 0.0), up2(n, 0.0);
 
   obs::timeline::ScopedSlice phase_slice("quant.time_phase");
   Phase phase;
+  // One lower sweep; returns its residual (infinite entries are
+  // converged-at-infinity and do not gate it).
   auto sweep_lower = [&] {
-    for_range(n, options.threads, parallel, [&](std::size_t a, std::size_t b) {
-      for (std::size_t i = a; i < b; ++i) {
-        if (active(i)) lo2[i] = std::max(lo[i], update_lower(i, lo));
-      }
-    });
+    const auto [residual] =
+        common::parallel_chunk_max<1>(n, threads, [&](std::size_t a, std::size_t b) {
+          double r = 0.0;
+          for (std::size_t i = a; i < b; ++i) {
+            if (!active(i)) continue;
+            lo2[i] = std::max(lo[i], bell(i, lo));
+            if (std::isfinite(lo2[i])) r = std::max(r, lo2[i] - lo[i]);
+          }
+          return std::array<double, 1>{r};
+        });
     lo.swap(lo2);
     ++phase.sweeps;
-  };
-  auto residual = [&] {
-    // lo2 holds the previous sweep after the swap; infinite entries are
-    // converged-at-infinity and do not gate the residual.
-    return common::parallel_chunk_max(n, options.threads, [&](std::size_t a, std::size_t b) {
-      double r = 0.0;
-      for (std::size_t i = a; i < b; ++i) {
-        if (active(i) && std::isfinite(lo[i])) r = std::max(r, lo[i] - lo2[i]);
-      }
-      return r;
-    });
-  };
-  auto gap = [&] {
-    return common::parallel_chunk_max(n, options.threads, [&](std::size_t a, std::size_t b) {
-      double w = 0.0;
-      for (std::size_t i = a; i < b; ++i) {
-        if (active(i) && std::isfinite(lo[i])) w = std::max(w, up[i] - lo[i]);
-      }
-      return w;
-    });
+    return residual;
   };
 
   const std::size_t budget = options.max_iterations;
   if (!complete) {
     while (phase.sweeps < budget) {
-      sweep_lower();
-      if (residual() <= options.epsilon / 8.0) break;
+      if (sweep_lower() <= options.epsilon / 8.0) break;
     }
     return phase;  // lower bound only; never converged in the certified sense
   }
@@ -435,22 +571,25 @@ Phase drive_time_bounds(std::size_t n, bool complete, const QuantOptions& option
   std::size_t warm = 64;
   for (int round = 0; round < 24 && phase.sweeps < budget; ++round) {
     for (std::size_t k = 0; k < warm && phase.sweeps < budget; ++k) {
-      sweep_lower();
-      if (residual() <= options.epsilon / 8.0) break;
+      if (sweep_lower() <= options.epsilon / 8.0) break;
     }
 
-    for (std::size_t i = 0; i < n; ++i) up[i] = active(i) ? lo[i] * (1.0 + inflate) : 0.0;
-    for_range(n, options.threads, parallel, [&](std::size_t a, std::size_t b) {
-      for (std::size_t i = a; i < b; ++i) {
-        if (active(i)) up2[i] = apply_upper(i, up);
-      }
+    common::parallel_ranges(n, threads, [&](std::size_t a, std::size_t b) {
+      for (std::size_t i = a; i < b; ++i) up[i] = active(i) ? lo[i] * (1.0 + inflate) : 0.0;
     });
+    // T(up) <= up on every active element, as a 0/1 maximum of violations.
+    const auto [violated] =
+        common::parallel_chunk_max<1>(n, threads, [&](std::size_t a, std::size_t b) {
+          double v = 0.0;
+          for (std::size_t i = a; i < b; ++i) {
+            if (!active(i)) continue;
+            up2[i] = bell(i, up);
+            if (!(up2[i] <= up[i])) v = 1.0;
+          }
+          return std::array<double, 1>{v};
+        });
     ++phase.sweeps;
-    bool valid = true;
-    for (std::size_t i = 0; i < n && valid; ++i) {
-      if (active(i)) valid = up2[i] <= up[i];
-    }
-    if (!valid) {
+    if (violated > 0.0) {
       inflate *= 8.0;
       warm *= 2;
       continue;
@@ -458,29 +597,44 @@ Phase drive_time_bounds(std::size_t n, bool complete, const QuantOptions& option
 
     // Verified: T(up) <= up, so further applications keep decreasing while
     // staying true upper bounds. Co-iterate both sides down to epsilon,
-    // bailing out honestly if the gap float-locks above it.
+    // bailing out honestly if the gap float-locks above it. Each sweep is
+    // one pass: the lower sweep, the upper sweep and the next gap.
     up.swap(up2);
+    double gap = common::parallel_chunk_max<1>(n, threads, [&](std::size_t a, std::size_t b) {
+      double w = 0.0;
+      for (std::size_t i = a; i < b; ++i) {
+        if (active(i) && std::isfinite(lo[i])) w = std::max(w, up[i] - lo[i]);
+      }
+      return std::array<double, 1>{w};
+    })[0];
     double last_gap = kInf;
     int stalls = 0;
     while (phase.sweeps < budget) {
-      const double g = gap();
-      if (g <= options.epsilon) {
+      if (gap <= options.epsilon) {
         phase.converged = true;
         break;
       }
-      if (g >= last_gap) {
+      if (gap >= last_gap) {
         if (++stalls >= 8) break;
       } else {
         stalls = 0;
       }
-      last_gap = g;
-      sweep_lower();
-      for_range(n, options.threads, parallel, [&](std::size_t a, std::size_t b) {
+      last_gap = gap;
+      gap = common::parallel_chunk_max<1>(n, threads, [&](std::size_t a, std::size_t b) {
+        double w = 0.0;
         for (std::size_t i = a; i < b; ++i) {
-          if (active(i)) up2[i] = std::min(up[i], apply_upper(i, up));
+          if (!active(i)) continue;
+          const auto [t_lo, t_up] =
+              bell_time<kMax, 2>(g, static_cast<std::uint32_t>(i), {lo.data(), up.data()});
+          lo2[i] = std::max(lo[i], t_lo);
+          up2[i] = std::min(up[i], t_up);
+          if (std::isfinite(lo2[i])) w = std::max(w, up2[i] - lo2[i]);
         }
-      });
+        return std::array<double, 1>{w};
+      })[0];
+      lo.swap(lo2);
       up.swap(up2);
+      ++phase.sweeps;
     }
     if (phase.converged) {
       for (std::size_t i = 0; i < n; ++i) {
@@ -500,78 +654,149 @@ Phase drive_time_bounds(std::size_t n, bool complete, const QuantOptions& option
 inline Phase iterate_time_max(const Quotient& q, const std::vector<std::uint8_t>& domain,
                               bool complete, const QuantOptions& options, std::vector<double>& lo,
                               std::vector<double>& hi) {
-  auto bell = [&q](std::size_t i, const std::vector<double>& val) {
-    return bell_max(q, static_cast<std::uint32_t>(i), val, 0.0, 0.0, 1.0, kInf);
-  };
-  return drive_time_bounds(
-      q.num_nodes, complete, options, [&](std::size_t i) { return domain[i] != 0; }, bell, bell,
-      lo, hi);
+  const int threads = q.num_nodes >= options.seq_sweep_threshold ? options.threads : 1;
+  return drive_time_bounds</*kMax=*/true>(
+      q, complete, threads, options, [&](std::size_t i) { return domain[i] != 0; }, lo, hi);
 }
 
-/// Min expected steps over the RAW states of the meal-free-reachable
-/// fragment (`domain`), every step charged. Target states are 0-cost
-/// terminals; frontier states count 0 in the lower bound (sound: the
-/// truncated continuation could eat immediately) and block certification
-/// via `complete`. Actions with an outcome in `bad` — states whose
-/// certified Pmax upper bound is below 1, where the expectation is
-/// infinite — are forbidden, exactly as the true minimizer forbids them;
-/// a state with no permitted action gets a +inf lower bound (a certificate
-/// of infinity) that propagates soundly through the min.
+/// Membership in e_min's domain: raw states reachable from the initial
+/// state through meal-free expanded states only. That is exactly the
+/// members of the quotient-reachable nodes: a raw meal-free path maps to a
+/// quotient path (MEC-internal steps stay inside one node), and every
+/// member of a reached node is reached, since a MEC is strongly connected
+/// through its meal-free, non-frontier members.
+inline bool in_fragment(const Quotient& fq, const std::vector<std::uint8_t>& node_reach,
+                        StateId s) {
+  const std::uint32_t c = fq.node_of[s];
+  return is_node(c) && node_reach[c] != 0;
+}
+
+/// e_min's Bellman system over raw states, compiled once per target: the
+/// fragment states minus the `bad` ones (certified Pmax upper bound below
+/// 1, where the expectation is infinite), numbered densely in ascending
+/// state order. Each state keeps its permitted actions — an action with an
+/// outcome in a bad state is forbidden, exactly as the true minimizer
+/// forbids it — and each action keeps its outcomes into the system; target
+/// outcomes (0 steps left) and frontier outcomes (counted 0 in the lower
+/// bound: the truncated continuation could eat immediately) add exactly
+/// +0.0 to an accumulator that is >= 1, so they are dropped. A state with
+/// no permitted action gets +inf from bell_time: a certificate of infinity
+/// that propagates soundly through the min.
+struct TimeMinSystem {
+  Csr csr;
+  std::uint32_t initial = kAbsent;  // dense index of model.initial()
+};
+
 template <class ModelT>
-Phase iterate_time_min(const ModelT& model, std::uint64_t target_mask,
-                       const std::vector<std::uint8_t>& domain,
-                       const std::vector<std::uint8_t>& bad, const QuantOptions& options,
-                       std::vector<double>& lo, std::vector<double>& hi) {
+TimeMinSystem compile_time_min(const ModelT& model, const Quotient& fq,
+                               const std::vector<std::uint8_t>& node_reach,
+                               const std::vector<double>& hi_pmax, const QuantOptions& options) {
+  const std::size_t n = model.num_states();
   const int phils = model.num_phils();
-  auto bell = [&](std::size_t i, const std::vector<double>& val) {
-    const auto s = static_cast<StateId>(i);
-    double best = kInf;
+  const int threads = n >= options.seq_sweep_threshold ? options.threads : 1;
+  auto bad_node = [&](std::uint32_t c) { return !hi_pmax.empty() && hi_pmax[c] < 1.0; };
+  auto member = [&](std::size_t s) {
+    return in_fragment(fq, node_reach, static_cast<StateId>(s)) && !bad_node(fq.node_of[s]);
+  };
+
+  // Dense numbering: per-range member counts, a prefix over ranges, then
+  // each range numbers its members in ascending order.
+  const std::size_t ranges = (n + common::kRangeSize - 1) / common::kRangeSize;
+  std::vector<std::uint32_t> range_base(ranges + 1, 0);
+  common::parallel_ranges(n, threads, [&](std::size_t lo, std::size_t hi) {
+    std::uint32_t c = 0;
+    for (std::size_t s = lo; s < hi; ++s) c += member(s) ? 1 : 0;
+    range_base[lo / common::kRangeSize + 1] = c;
+  });
+  for (std::size_t r = 0; r < ranges; ++r) range_base[r + 1] += range_base[r];
+  const std::uint32_t m = range_base[ranges];
+  std::vector<std::uint32_t> index(n, kAbsent);
+  std::vector<StateId> state_of(m);
+  common::parallel_ranges(n, threads, [&](std::size_t lo, std::size_t hi) {
+    std::uint32_t next = range_base[lo / common::kRangeSize];
+    for (std::size_t s = lo; s < hi; ++s) {
+      if (!member(s)) continue;
+      index[s] = next;
+      state_of[next++] = static_cast<StateId>(s);
+    }
+  });
+
+  // Calls fn(begin, end) for every permitted action of state s.
+  auto for_each_permitted = [&](StateId s, const auto& fn) {
     for (int p = 0; p < phils; ++p) {
       const auto [begin, end] = model.row(s, p);
       if (begin == end) continue;
-      double acc = 1.0;
       bool ok = true;
       for (const Outcome* o = begin; o != end && ok; ++o) {
-        if ((model.eaters(o->next) & target_mask) != 0) continue;  // terminal, 0 steps left
-        if (bad[o->next]) {
-          ok = false;
-          break;
-        }
-        acc += static_cast<double>(o->prob) * (model.frontier(o->next) ? 0.0 : val[o->next]);
+        const std::uint32_t c = fq.node_of[o->next];
+        ok = !(is_node(c) && bad_node(c));
       }
-      if (ok) best = std::min(best, acc);
+      if (ok) fn(begin, end);
     }
-    return best;
   };
-  return drive_time_bounds(
-      model.num_states(), !model.truncated(), options,
-      [&](std::size_t i) { return domain[i] != 0 && !bad[i]; }, bell, bell, lo, hi);
+  auto kept = [&](const Outcome& o) { return is_node(fq.node_of[o.next]); };
+
+  std::vector<std::uint32_t> act_count(m, 0), out_count(m, 0);
+  common::parallel_ranges(m, threads, [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t i = lo; i < hi; ++i) {
+      std::uint32_t acts = 0, outs = 0;
+      for_each_permitted(state_of[i], [&](const Outcome* begin, const Outcome* end) {
+        ++acts;
+        for (const Outcome* o = begin; o != end; ++o) outs += kept(*o) ? 1 : 0;
+      });
+      act_count[i] = acts;
+      out_count[i] = outs;
+    }
+  });
+  std::size_t total_acts = 0, total_outs = 0;
+  for (std::uint32_t i = 0; i < m; ++i) {
+    total_acts += act_count[i];
+    total_outs += out_count[i];
+  }
+  check_csr_offsets(total_acts, "e_min actions");
+  check_csr_offsets(total_outs, "e_min outcomes");
+
+  TimeMinSystem sys;
+  Csr& g = sys.csr;
+  g.num_nodes = m;
+  g.act_off.assign(std::size_t{m} + 1, 0);
+  std::vector<std::uint32_t> out_base(m, 0);
+  std::uint32_t next_out = 0;
+  for (std::uint32_t i = 0; i < m; ++i) {
+    g.act_off[i + 1] = g.act_off[i] + act_count[i];
+    out_base[i] = next_out;
+    next_out += out_count[i];
+  }
+  g.out_off.assign(std::size_t{g.act_off[m]} + 1, 0);
+  g.prob.resize(next_out);
+  g.dest.resize(next_out);
+  common::parallel_ranges(m, threads, [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t i = lo; i < hi; ++i) {
+      std::uint32_t a = g.act_off[i], o_at = out_base[i];
+      for_each_permitted(state_of[i], [&](const Outcome* begin, const Outcome* end) {
+        for (const Outcome* o = begin; o != end; ++o) {
+          if (!kept(*o)) continue;
+          GDP_DCHECK(index[o->next] != kAbsent);
+          g.prob[o_at] = o->prob;
+          g.dest[o_at] = index[o->next];
+          ++o_at;
+        }
+        g.out_off[++a] = o_at;
+      });
+    }
+  });
+  sys.initial = index[model.initial()];
+  return sys;
 }
 
-/// Raw states reachable from the initial state through meal-free expanded
-/// states only (the state-level mirror of the quotient's reachable set,
-/// needed because e_min charges MEC-internal steps the quotient drops).
-template <class ModelT>
-std::vector<std::uint8_t> fragment_reachable(const ModelT& model, std::uint64_t target_mask) {
-  std::vector<std::uint8_t> seen(model.num_states(), 0);
-  const StateId init = model.initial();
-  if ((model.eaters(init) & target_mask) != 0 || model.frontier(init)) return seen;
-  std::vector<StateId> stack{init};
-  seen[init] = 1;
-  while (!stack.empty()) {
-    const StateId s = stack.back();
-    stack.pop_back();
-    for (int p = 0; p < model.num_phils(); ++p) {
-      const auto [begin, end] = model.row(s, p);
-      for (const Outcome* o = begin; o != end; ++o) {
-        const StateId t = o->next;
-        if (seen[t] || (model.eaters(t) & target_mask) != 0 || model.frontier(t)) continue;
-        seen[t] = 1;
-        stack.push_back(t);
-      }
-    }
-  }
-  return seen;
+/// Min expected steps over the compiled e_min system, every step charged.
+/// Truncated models (`complete` == false) iterate the lower bound only.
+inline Phase iterate_time_min(const TimeMinSystem& sys, bool complete, const QuantOptions& options,
+                              std::vector<double>& lo, std::vector<double>& hi) {
+  const Csr& g = sys.csr;
+  const int threads = g.num_nodes >= options.seq_sweep_threshold ? options.threads : 1;
+  return drive_time_bounds</*kMax=*/false>(
+      g, complete, threads, options, [](std::size_t) { return true; }, lo, hi);
 }
 
 /// Orders the endpoints: double rounding can leave a lower iterate a few
@@ -598,7 +823,11 @@ struct SharedSweeps {
   void ensure_full(const ModelT& model, const par::CheckOptions& co,
                    const QuantOptions& options) {
     if (full_built) return;
-    full_mecs = par::detail::maximal_end_components_t(model, 0, co);
+    {
+      obs::TimedSpan span("quant.mec");
+      full_mecs = par::detail::maximal_end_components_t(model, 0, co);
+    }
+    obs::TimedSpan span("quant.quotient");
     full_q = build_quotient(model, full_mecs, reached, /*target_mask=*/0,
                             /*target_terminal=*/false, options);
     full_built = true;
@@ -616,7 +845,9 @@ SharedSweeps make_shared_sweeps(const ModelT& model, const par::CheckOptions& co
 /// The per-target core: everything in analyze() that depends on the target
 /// mask. Reads the target-independent sweeps from `shared` (building the
 /// full-model pieces lazily), so n targets cost one reachability BFS and at
-/// most one full MEC decomposition between them.
+/// most one full MEC decomposition between them. Each phase runs under its
+/// own child span of quant.analyze (quant.mec, quant.quotient, quant.p_max,
+/// quant.p_min, quant.e_min, quant.e_max, quant.p_trap).
 template <class ModelT>
 QuantResult analyze_one(const ModelT& model, std::uint64_t target_set,
                         const QuantOptions& options, SharedSweeps& shared) {
@@ -631,6 +862,7 @@ QuantResult analyze_one(const ModelT& model, std::uint64_t target_set,
   const std::vector<bool>& reached = shared.reached;
 
   // MECs of the meal-free fragment, and which of them are fair traps.
+  obs::TimedSpan mec_span("quant.mec");
   const std::vector<EndComponent> mecs =
       par::detail::maximal_end_components_t(model, target_set, co);
   result.num_avoid_mecs = mecs.size();
@@ -639,7 +871,9 @@ QuantResult analyze_one(const ModelT& model, std::uint64_t target_set,
     fair_mec[m] = mecs[m].fair(model.num_phils()) ? 1 : 0;
     result.num_fair_avoid_mecs += fair_mec[m];
   }
+  mec_span.stop();
 
+  obs::TimedSpan quotient_span("quant.quotient");
   const Quotient fq =
       build_quotient(model, mecs, reached, target_set, /*target_terminal=*/true, options);
   result.num_quotient_nodes = fq.num_nodes;
@@ -653,6 +887,7 @@ QuantResult analyze_one(const ModelT& model, std::uint64_t target_set,
     if (fair_node[i] && node_reach[i]) result.fair_trap_reachable = true;
   }
   if (is_node(fq.initial) && fair_node[fq.initial]) result.fair_trap_reachable = true;
+  quotient_span.stop();
 
   const bool initial_target = fq.initial == kGoal;
   const bool initial_unknown = fq.initial == kUnknown || fq.initial == kAbsent;
@@ -676,6 +911,7 @@ QuantResult analyze_one(const ModelT& model, std::uint64_t target_set,
     result.p_max = {0.0, 1.0};
     all_converged = false;
   } else {
+    obs::TimedSpan phase_span("quant.p_max");
     const std::vector<double> no_pins(fq.num_nodes, -1.0);
     const Phase phase = iterate_reach_max(fq, no_pins, /*goal_value=*/1.0, options, lo, hi_pmax);
     note(result.stats.p_max_sweeps, phase);
@@ -691,6 +927,7 @@ QuantResult analyze_one(const ModelT& model, std::uint64_t target_set,
   } else if (!result.fair_trap_reachable && complete) {
     result.p_min = {1.0, 1.0};  // qualitative: no meal-free path to any fair trap
   } else {
+    obs::TimedSpan phase_span("quant.p_min");
     std::vector<double> pins(fq.num_nodes, -1.0);
     for (std::uint32_t i = 0; i < fq.num_nodes; ++i) {
       if (fair_node[i]) pins[i] = 1.0;  // the trap itself: confinement is free from here
@@ -712,18 +949,11 @@ QuantResult analyze_one(const ModelT& model, std::uint64_t target_set,
     // models): some mass never eats, so the expectation is infinite.
     result.e_min = {kInf, kInf};
   } else {
-    const std::vector<std::uint8_t> domain = fragment_reachable(model, target_set);
-    // States whose certified Pmax upper bound is below 1 have infinite
-    // expected time under every adversary; the minimizer never enters them.
-    std::vector<std::uint8_t> bad(model.num_states(), 0);
-    if (!hi_pmax.empty()) {
-      for (StateId s = 0; s < model.num_states(); ++s) {
-        if (is_node(fq.node_of[s]) && hi_pmax[fq.node_of[s]] < 1.0) bad[s] = 1;
-      }
-    }
-    const Phase phase = iterate_time_min(model, target_set, domain, bad, options, lo, hi);
+    obs::TimedSpan phase_span("quant.e_min");
+    const TimeMinSystem sys = compile_time_min(model, fq, node_reach, hi_pmax, options);
+    const Phase phase = iterate_time_min(sys, complete, options, lo, hi);
     note(result.stats.e_min_sweeps, phase);
-    result.e_min = make_interval(lo[model.initial()], hi[model.initial()]);
+    result.e_min = make_interval(lo[sys.initial], hi[sys.initial]);
   }
 
   // --- e_max: worst-case expected productive steps (see quant.hpp). ---
@@ -737,6 +967,7 @@ QuantResult analyze_one(const ModelT& model, std::uint64_t target_set,
     // first meal never comes: infinite, certified by the qualitative BFS.
     result.e_max = {kInf, kInf};
   } else {
+    obs::TimedSpan phase_span("quant.e_max");
     const Phase phase = iterate_time_max(fq, node_reach, complete, options, lo, hi);
     note(result.stats.e_max_sweeps, phase);
     result.e_max = make_interval(lo[fq.initial], hi[fq.initial]);
@@ -747,6 +978,7 @@ QuantResult analyze_one(const ModelT& model, std::uint64_t target_set,
     result.p_trap = {0.0, 0.0};
   } else {
     shared.ensure_full(model, co, options);
+    obs::TimedSpan phase_span("quant.p_trap");
     const Quotient& full_q = shared.full_q;
     // Goal nodes: full-model MEC classes holding a fair-trap state (from
     // anywhere in such a MEC the trap is internally reachable with
@@ -772,8 +1004,8 @@ QuantResult analyze_one(const ModelT& model, std::uint64_t target_set,
                      : all_converged     ? Certainty::kCertified
                                          : Certainty::kIterationLimit;
 
-  // Deterministic plane: sweep counts stop on thresholds of bit-identical
-  // parallel_chunk_max residuals, so they are thread-count invariant.
+  // Deterministic plane: sweep counts stop on thresholds of residuals
+  // folded in range order, so they are thread-count invariant.
   static obs::Counter& analyses = obs::Registry::global().counter("quant.analyses");
   static obs::Counter& sweeps_ctr = obs::Registry::global().counter("quant.sweeps");
   static obs::Counter& stalls_ctr = obs::Registry::global().counter("quant.stalled_phases");

@@ -353,6 +353,51 @@ TEST_F(ObsTest, QuantCountersMatchAnalyzeStats) {
   EXPECT_EQ(metric(snap.counters, "quant.stalled_phases"), s.stalled_phases);
 }
 
+// The quotient counters are functions of the model and the targets alone,
+// so they read the same at threads 1 and 4 and leave quant.sweeps equal
+// to the results' sweep totals; every phase of quant.analyze records its
+// child span.
+TEST_F(ObsTest, QuantQuotientCountersAreThreadCountInvariant) {
+  const auto algo = algos::make_algorithm("gdp1");
+  const mdp::Model model = mdp::par::explore(*algo, graph::classic_ring(3));
+  std::vector<std::uint64_t> targets{~std::uint64_t{0}};
+  for (int p = 0; p < model.num_phils(); ++p) targets.push_back(std::uint64_t{1} << p);
+  const char* const counters[] = {"quant.quotient_actions", "quant.quotient_outcomes",
+                                  "quant.duplicate_actions"};
+  std::vector<std::uint64_t> reference;
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    Registry::global().reset();
+    mdp::quant::QuantOptions qopts;
+    qopts.threads = threads;
+    qopts.seq_sweep_threshold = 1;  // every pass on the pool
+    const auto results = mdp::quant::analyze(model, targets, qopts);
+    std::size_t sweeps = 0;
+    for (const auto& r : results) sweeps += r.sweeps;
+    const Snapshot snap = Registry::global().snapshot();
+    EXPECT_EQ(metric(snap.counters, "quant.sweeps"), sweeps);
+    std::vector<std::uint64_t> values;
+    for (const char* name : counters) {
+      EXPECT_TRUE(has_metric(snap.counters, name)) << name;
+      values.push_back(metric(snap.counters, name));
+    }
+    EXPECT_GT(values[0], 0u);
+    EXPECT_GT(values[1], 0u);
+    EXPECT_GT(values[2], 0u);  // gdp1's meal-bound MECs repeat their exits
+    if (reference.empty()) {
+      reference = values;
+    } else {
+      EXPECT_EQ(values, reference);
+    }
+    for (const char* span : {"quant.mec", "quant.quotient", "quant.p_max", "quant.p_min",
+                             "quant.e_min", "quant.e_max", "quant.p_trap"}) {
+      bool recorded = false;
+      for (const auto& sv : snap.spans) recorded = recorded || (sv.name == span && sv.count > 0);
+      EXPECT_TRUE(recorded) << span;
+    }
+  }
+}
+
 TEST_F(ObsTest, ExploreCountersMatchTheModel) {
   const auto algo = algos::make_algorithm("lr2");
   const auto t = graph::classic_ring(3);

@@ -45,11 +45,11 @@ src/ tests/ bench/ examples/ by the `static-analysis` CI job and
                       No compound assignment (+=, -=, *=, /=) to a
                       float/double declared OUTSIDE a parallel region
                       (parallel_for / run_workers / for_range /
-                      parallel_chunk_max bodies) — cross-thread float
-                      accumulation is both a data race and, even when
-                      atomic, order-dependent in the last ulp. Park partial
-                      results at task indices and fold them in index order,
-                      or use common::parallel_chunk_max.
+                      parallel_ranges / parallel_chunk_max bodies) —
+                      cross-thread float accumulation is both a data race
+                      and, even when atomic, order-dependent in the last
+                      ulp. Park partial results at task indices and fold
+                      them in index order, or use common::parallel_chunk_max.
   unannotated-mutex   Every mutex declared under src/ (std::mutex,
                       std::shared_mutex, common::Mutex) must be referenced
                       by a GDP_GUARDED_BY / GDP_PT_GUARDED_BY /
@@ -402,7 +402,8 @@ def rule_raw_thread(path: str, code_lines: list[str]) -> list[Finding]:
 
 
 PARALLEL_ENTRY_RE = re.compile(
-    r"\b(?:common::)?(?:parallel_for|run_workers|for_range|parallel_chunk_max)\s*\(")
+    r"\b(?:common::)?(?:parallel_for|run_workers|for_range|parallel_ranges|"
+    r"parallel_chunk_max)(?:<[^<>()]*>)?\s*\(")
 COMPOUND_ASSIGN_RE = re.compile(r"([A-Za-z_]\w*(?:(?:\.|->)\w+)*)\s*(\+=|-=|\*=|/=)")
 FP_EXEMPT = ("gdp/common/pool.cpp",)  # implements the blessed reductions
 
