@@ -12,8 +12,11 @@
 #                                    section with GDP_OBS=1 at threads 1 and
 #                                    4, validate both BENCH_thm2_theta.json
 #                                    reports against the obs run-report
-#                                    schema and require equal deterministic
-#                                    planes (1M-state explore); then rerun it
+#                                    schema, require equal deterministic
+#                                    planes (1M-state explore) and diff both
+#                                    against bench/baselines/thm2_theta_d.json
+#                                    (exact on the deterministic plane,
+#                                    timing ratios printed); then rerun it
 #                                    with the timeline plane and heartbeats on
 #                                    (GDP_OBS_TIMELINE / GDP_OBS_PROGRESS) and
 #                                    validate TRACE_thm2_theta.json plus the
@@ -81,6 +84,15 @@ if t1 != t4:
     sys.exit("deterministic plane differs between threads=1 and threads=4")
 print("deterministic plane identical at threads 1 and 4")
 PY
+  echo "=== bench-smoke: diff both reports against the committed baseline ==="
+  # Exact on the deterministic plane (exit 1 on any difference); the timing
+  # ratios are printed for reading only. Re-record the baseline with
+  # GDP_OBS=1 ./bench_thm2_theta 4 d when a change moves the deterministic
+  # plane on purpose, and say why in CHANGES.md.
+  for report in BENCH_thm2_theta_t1.json BENCH_thm2_theta.json; do
+    python3 tools/obs/compare_reports.py bench/baselines/thm2_theta_d.json \
+      "build/bench-smoke/bench/${report}"
+  done
   echo "=== bench-smoke: rerun with the timeline plane + 50ms heartbeats ==="
   ( cd build/bench-smoke/bench && \
     GDP_OBS=1 GDP_OBS_TIMELINE=1 GDP_OBS_PROGRESS=50 ./bench_thm2_theta 0 d \

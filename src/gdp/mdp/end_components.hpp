@@ -23,16 +23,45 @@
 
 namespace gdp::mdp {
 
+/// The mask with every philosopher's bit set: what a fair component's
+/// philosopher mask must equal.
+inline std::uint64_t all_phils_mask(int num_phils) {
+  return num_phils >= 64 ? ~std::uint64_t{0} : ((std::uint64_t{1} << num_phils) - 1);
+}
+
 struct EndComponent {
   std::vector<StateId> states;
   /// Philosophers with at least one usable action inside the component
   /// (bitmask; phil p set iff bit p). Fairness needs all n bits.
   std::uint64_t phil_mask = 0;
 
-  bool fair(int num_phils) const {
-    return phil_mask == (num_phils >= 64 ? ~std::uint64_t{0}
-                                         : ((std::uint64_t{1} << num_phils) - 1));
+  bool fair(int num_phils) const { return phil_mask == all_phils_mask(num_phils); }
+};
+
+/// A MEC decomposition in flat form, in the same component order as the
+/// vector<EndComponent> form: component k's member states, ascending, are
+/// states[offsets[k] .. offsets[k + 1]) and its philosopher mask is
+/// phil_mask[k]. One member array instead of one vector per component is
+/// what the verdict kernels read and what a model's MecMemo holds.
+struct MecList {
+  std::vector<StateId> states;
+  std::vector<std::uint32_t> offsets{0};  // size() + 1 entries
+  std::vector<std::uint64_t> phil_mask;
+
+  std::size_t size() const { return phil_mask.size(); }
+  const StateId* begin(std::size_t k) const { return states.data() + offsets[k]; }
+  const StateId* end(std::size_t k) const { return states.data() + offsets[k + 1]; }
+  std::size_t members(std::size_t k) const { return offsets[k + 1] - offsets[k]; }
+  bool fair(std::size_t k, int num_phils) const {
+    return phil_mask[k] == all_phils_mask(num_phils);
   }
+  std::size_t bytes() const {
+    return states.size() * sizeof(StateId) + offsets.size() * sizeof(std::uint32_t) +
+           phil_mask.size() * sizeof(std::uint64_t);
+  }
+
+  static MecList from(const std::vector<EndComponent>& mecs);
+  std::vector<EndComponent> to_end_components() const;
 };
 
 /// All MECs of the sub-MDP restricted to the fully-expanded states where no

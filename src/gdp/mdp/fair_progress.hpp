@@ -65,20 +65,4 @@ FairProgressResult check_fair_progress(const algos::Algorithm& algo, const graph
                                        std::size_t max_states = 2'000'000,
                                        std::uint64_t set_mask = ~std::uint64_t{0});
 
-namespace detail {
-/// The verdict logic over an already-computed MEC decomposition — shared
-/// between the sequential checker above and the parallel engine
-/// (gdp/mdp/par), which must produce identical FairProgressResults.
-FairProgressResult verdict_from_mecs(const Model& model, std::uint64_t set_mask,
-                                     const std::vector<EndComponent>& mecs);
-
-/// As above with a precomputed reachable-state set (reached[s] true iff s is
-/// reachable from the initial state) — the parallel engine passes the result
-/// of its pool-based sweep (par::reachable_states), which is the same set
-/// the sequential reachable_states computes.
-FairProgressResult verdict_from_mecs(const Model& model, std::uint64_t set_mask,
-                                     const std::vector<EndComponent>& mecs,
-                                     const std::vector<bool>& reached);
-}  // namespace detail
-
 }  // namespace gdp::mdp

@@ -14,23 +14,25 @@
 
 namespace gdp::mdp::detail {
 
+/// The verdict for `set_mask` from the MEC decomposition of its fragment
+/// and the reachable-state set (reached[s] true iff s is reachable from the
+/// initial state).
 template <class ModelT>
 FairProgressResult verdict_from_mecs_t(const ModelT& model, std::uint64_t set_mask,
-                                       const std::vector<EndComponent>& mecs,
-                                       const std::vector<bool>& reached) {
+                                       const MecList& mecs, const std::vector<bool>& reached) {
   FairProgressResult result;
   result.avoid_set = set_mask;
   result.num_states = model.num_states();
   result.num_mecs = mecs.size();
 
-  for (const EndComponent& mec : mecs) {
-    if (!mec.fair(model.num_phils())) continue;
+  for (std::size_t k = 0; k < mecs.size(); ++k) {
+    if (!mecs.fair(k, model.num_phils())) continue;
     ++result.num_fair_mecs;
-    const bool reachable = std::any_of(mec.states.begin(), mec.states.end(),
-                                       [&](StateId s) { return reached[s]; });
+    const bool reachable =
+        std::any_of(mecs.begin(k), mecs.end(k), [&](StateId s) { return reached[s]; });
     if (reachable && result.witness_size == 0) {
-      result.witness_size = mec.states.size();
-      result.witness_state = mec.states.front();
+      result.witness_size = mecs.members(k);
+      result.witness_state = *mecs.begin(k);
     }
   }
 

@@ -406,6 +406,9 @@ Model LevelExplorer::take_model(StateIndex* index_out, std::vector<std::uint64_t
   Model model;
   model.num_phils_ = static_cast<int>(n);
   model.truncated_ = truncated_;
+  // Every id was handed out to a successor of an interned state, starting
+  // from the initial one: every state is reachable (frontier ones too).
+  model.all_reachable_ = true;
   model.eaters_ = std::move(eaters_);
   model.outcomes_ = std::move(outcomes_);
   model.frontier_.assign(total, false);

@@ -198,7 +198,8 @@ class LevelExplorer {
   std::size_t num_states() const { return table_.size(); }
 
   /// Consumes the explorer into the canonical CSR Model (leading zero
-  /// offset, empty rows for frontier states). Optionally also yields the
+  /// offset, empty rows for frontier states), marked
+  /// all_states_reachable(). Optionally also yields the
   /// key -> id index (built only on request) and the id-ordered keys,
   /// key_words() words per state.
   Model take_model(StateIndex* index_out = nullptr, std::vector<std::uint64_t>* keys_out = nullptr);

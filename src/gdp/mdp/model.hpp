@@ -9,9 +9,12 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "gdp/algos/algorithm.hpp"
+#include "gdp/common/thread_annotations.hpp"
 #include "gdp/graph/topology.hpp"
 
 namespace gdp::mdp {
@@ -19,8 +22,57 @@ namespace gdp::mdp {
 namespace detail {
 class LevelExplorer;
 }  // namespace detail
+namespace store {
+class ChunkedModel;
+}  // namespace store
 
 using StateId = std::uint32_t;
+
+/// A MEC decomposition in flat form (defined in end_components.hpp).
+struct MecList;
+
+namespace detail {
+
+/// What a memoized decomposition depends on besides the model: the avoid
+/// mask and the options that pick its execution (the effective worker
+/// count and the two sequential cut-offs). The components themselves do
+/// not depend on the last three, but keying on them keeps a comparison
+/// across thread counts or thresholds a comparison of fresh runs.
+struct MecKey {
+  std::uint64_t avoid_set = 0;
+  unsigned threads = 1;
+  std::size_t seq_mec_threshold = 0;
+  std::size_t seq_scc_region = 0;
+  bool operator==(const MecKey&) const = default;
+};
+
+/// A model's memo of MEC decompositions, filled lazily by the verdict
+/// entry points (par/end_components_impl.hpp). Guarded by a mutex, so
+/// verdicts may run on one model from several threads at once. A copy or a
+/// move starts empty, and an assigned-to memo forgets its entries: entries
+/// describe the model they were computed on, and recomputing one is always
+/// correct.
+class MecMemo {
+ public:
+  MecMemo() = default;
+  MecMemo(const MecMemo&) noexcept {}
+  MecMemo& operator=(const MecMemo& rhs) noexcept;
+
+  /// The entry under `key`, or null.
+  std::shared_ptr<const MecList> find(const MecKey& key) const;
+  /// Keeps `mecs` under `key` unless that would lift the memo's total past
+  /// `budget` bytes.
+  void keep(const MecKey& key, std::shared_ptr<const MecList> mecs, std::size_t budget);
+  /// Bytes held by the kept entries.
+  std::size_t bytes() const;
+
+ private:
+  mutable common::Mutex mu_;
+  std::vector<std::pair<MecKey, std::shared_ptr<const MecList>>> entries_ GDP_GUARDED_BY(mu_);
+  std::size_t bytes_ GDP_GUARDED_BY(mu_) = 0;
+};
+
+}  // namespace detail
 
 struct Outcome {
   float prob = 0.0f;
@@ -61,6 +113,20 @@ class Model {
 
   /// Total number of (state, action) rows, for reporting.
   std::size_t num_rows() const { return num_states() * static_cast<std::size_t>(num_phils_); }
+  /// Total number of outcomes over all rows.
+  std::size_t num_outcomes() const { return outcomes_.size(); }
+
+  /// True when every state is reachable from the initial one by
+  /// construction: set on explored models (every state was discovered from
+  /// the initial state), false on Model::build models, which may hold
+  /// unreachable states. The verdict and quant paths skip the reachability
+  /// sweep when it is set.
+  bool all_states_reachable() const { return all_reachable_; }
+
+  /// The memo of MEC decompositions the verdict entry points read through
+  /// (see detail::MecMemo); entries never exceed num_outcomes() *
+  /// sizeof(Outcome) bytes in total.
+  detail::MecMemo& mec_memo() const { return mec_memo_; }
 
   /// Assembles a Model directly from its CSR parts — the hand-built-MDP
   /// entry point for tests and external tooling (the quantitative checker's
@@ -77,6 +143,8 @@ class Model {
   /// The shared level-synchronous explorer (gdp/mdp/level_explore.hpp)
   /// builds the CSR arrays in place and re-seeds from them on resume.
   friend class detail::LevelExplorer;
+  /// materialize() carries the store's reachability mark over.
+  friend class store::ChunkedModel;
 
   int num_phils_ = 0;
   std::vector<std::uint64_t> offsets_;  // (num_states * num_phils) + 1
@@ -84,6 +152,8 @@ class Model {
   std::vector<std::uint64_t> eaters_;
   std::vector<bool> frontier_;
   bool truncated_ = false;
+  bool all_reachable_ = false;
+  mutable detail::MecMemo mec_memo_;
 };
 
 /// Level-synchronous breadth-first exploration from the algorithm's initial

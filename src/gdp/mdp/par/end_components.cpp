@@ -12,7 +12,7 @@ namespace gdp::mdp::par {
 
 std::vector<EndComponent> maximal_end_components(const Model& model, std::uint64_t avoid_set,
                                                  CheckOptions options) {
-  return detail::maximal_end_components_t(model, avoid_set, options);
+  return detail::maximal_end_components_t(model, avoid_set, options).to_end_components();
 }
 
 std::vector<bool> reachable_states(const Model& model, CheckOptions options) {

@@ -38,12 +38,20 @@
 // philosopher masks) are identical to mdp::maximal_end_components for every
 // thread count; scheduling only changes traversal order inside a phase.
 // Candidate fragments below seq_mec_threshold, and threads = 1, run the
-// sequential decomposition outright.
+// sequential decomposition outright. Both paths return the flat MecList.
+//
+// The verdict entry points (check_fair_progress_t here, quant's analyze)
+// read decompositions through the model's MecMemo (memo_mecs_t): a
+// decomposition depends only on the model and its key, so one explored
+// model's progress, lockout and quant verdicts decompose each avoid mask
+// once between them. They also skip the reachability sweep on models whose
+// every state is reachable by construction (verdict_reachable_t).
 #pragma once
 
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "gdp/common/check.hpp"
@@ -86,7 +94,7 @@ inline constexpr std::uint32_t kLastOutcome = 0x80000000u;
 inline constexpr std::uint32_t kIdMask = 0x7FFFFFFFu;
 /// off[1..m] holds per-item counts; turns off into exclusive offsets
 /// (off[0] = 0) with range sums, a scan over the ranges, and a local scan
-/// per range.
+/// per range. Refuses totals that do not fit the 32-bit offsets.
 inline void counts_to_offsets(std::vector<std::uint32_t>& off, int threads) {
   const std::size_t m = off.size() - 1;
   std::vector<std::uint64_t> base((m + common::kRangeSize - 1) / common::kRangeSize + 1, 0);
@@ -97,7 +105,8 @@ inline void counts_to_offsets(std::vector<std::uint32_t>& off, int threads) {
   });
   for (std::size_t r = 1; r < base.size(); ++r) base[r] += base[r - 1];
   GDP_CHECK_MSG(base.back() < (std::uint64_t{1} << 32),
-                "parallel MEC decomposition supports < 2^32 usable edges per round");
+                base.back() << " entries do not fit 32-bit offsets (the parallel MEC "
+                               "decomposition supports < 2^32 usable edges per round)");
   off[0] = 0;
   common::parallel_ranges(m, threads, [&](std::size_t lo, std::size_t hi) {
     std::uint64_t run = base[lo / common::kRangeSize];
@@ -198,7 +207,7 @@ class MecDecomposition {
         region_(std::max<std::size_t>(options.seq_scc_region, 1)),
         active_(std::move(candidates)) {}
 
-  std::vector<EndComponent> run() {
+  MecList run() {
     const std::size_t n = model_.num_states();
     block_.assign(n, kNone);
     local_.assign(n, kNone);
@@ -527,7 +536,7 @@ class MecDecomposition {
 
   /// The finished MECs, ordered by smallest member (the sequential scan's
   /// first-encounter order), states ascending, with philosopher masks.
-  std::vector<EndComponent> collect() {
+  MecList collect() {
     obs::TimedSpan span("mec.collect");
     const std::size_t n = model_.num_states();
     const std::vector<std::uint32_t> roots = select_ids(n, threads_, [&](std::uint32_t s) {
@@ -537,13 +546,15 @@ class MecDecomposition {
     common::parallel_ranges(roots.size(), threads_, [&](std::size_t lo, std::size_t hi) {
       for (std::size_t k = lo; k < hi; ++k) local_[roots[k]] = static_cast<std::uint32_t>(k);
     });
-    std::vector<EndComponent> mecs(roots.size());
-    std::vector<std::uint32_t> sizes(roots.size(), 0);
+    MecList mecs;
+    mecs.phil_mask.assign(roots.size(), 0);
+    mecs.offsets.assign(roots.size() + 1, 0);
     common::parallel_ranges(n, threads_, [&](std::size_t lo, std::size_t hi) {
       for (std::size_t s = lo; s < hi; ++s) {
         const std::uint32_t b = block_[s];
         if (b == kNone) continue;
-        std::atomic_ref<std::uint32_t>(sizes[local_[b & kIdMask]])
+        const std::uint32_t k = local_[b & kIdMask];
+        std::atomic_ref<std::uint32_t>(mecs.offsets[k + 1])
             .fetch_add(1, std::memory_order_relaxed);
         std::uint64_t mask = 0;
         for (int p = 0; p < model_.num_phils() && p < 64; ++p) {
@@ -554,14 +565,16 @@ class MecDecomposition {
           if (inside) mask |= std::uint64_t{1} << p;
         }
         if (mask != 0) {
-          std::atomic_ref<std::uint64_t>(mecs[local_[b & kIdMask]].phil_mask)
+          std::atomic_ref<std::uint64_t>(mecs.phil_mask[k])
               .fetch_or(mask, std::memory_order_relaxed);
         }
       }
     });
-    for (std::size_t k = 0; k < mecs.size(); ++k) mecs[k].states.reserve(sizes[k]);
+    counts_to_offsets(mecs.offsets, threads_);
+    mecs.states.resize(mecs.offsets.back());
+    std::vector<std::uint32_t> cursor(mecs.offsets.begin(), mecs.offsets.end() - 1);
     for (StateId s = 0; s < n; ++s) {
-      if (block_[s] != kNone) mecs[local_[block_[s] & kIdMask]].states.push_back(s);
+      if (block_[s] != kNone) mecs.states[cursor[local_[block_[s] & kIdMask]]++] = s;
     }
     return mecs;
   }
@@ -592,13 +605,15 @@ class MecDecomposition {
   std::vector<std::uint8_t> mark_;            // kLive, or the dirty flag in next_round
 };
 
+/// The MEC decomposition of the non-`avoid_set`-eating fragment, computed
+/// fresh (the uncached primitive behind par::maximal_end_components).
 template <class ModelT>
-std::vector<EndComponent> maximal_end_components_t(const ModelT& model, std::uint64_t avoid_set,
-                                                   const CheckOptions& options) {
+MecList maximal_end_components_t(const ModelT& model, std::uint64_t avoid_set,
+                                 const CheckOptions& options) {
   const std::size_t n = model.num_states();
   GDP_CHECK_MSG(n < (std::uint64_t{1} << 31), "parallel MEC decomposition supports < 2^31 states");
   if (common::effective_threads(options.threads, n) <= 1 || n < options.seq_mec_threshold) {
-    return mdp::detail::maximal_end_components_t(model, avoid_set);
+    return MecList::from(mdp::detail::maximal_end_components_t(model, avoid_set));
   }
   // Candidate fragment: expanded states where no avoid_set member eats.
   std::vector<std::uint32_t> candidates = select_ids(n, options.threads, [&](std::uint32_t s) {
@@ -606,10 +621,34 @@ std::vector<EndComponent> maximal_end_components_t(const ModelT& model, std::uin
   });
   if (common::effective_threads(options.threads, candidates.size()) <= 1 ||
       candidates.size() < options.seq_mec_threshold) {
-    return mdp::detail::maximal_end_components_t(model, avoid_set);
+    return MecList::from(mdp::detail::maximal_end_components_t(model, avoid_set));
   }
   obs::TimedSpan span("mec.decompose");
   return MecDecomposition<ModelT>(model, std::move(candidates), options).run();
+}
+
+/// maximal_end_components_t read through the model's MecMemo: a repeat of
+/// an earlier call with the same mask and execution options returns the
+/// kept result. A result that would lift the memo past the model's own
+/// outcome bytes is returned but not kept. mdp.mec_memo.hits / misses count
+/// the two cases (deterministic for a given sequence of calls).
+template <class ModelT>
+std::shared_ptr<const MecList> memo_mecs_t(const ModelT& model, std::uint64_t avoid_set,
+                                           const CheckOptions& options) {
+  static obs::Counter& hits = obs::Registry::global().counter("mdp.mec_memo.hits");
+  static obs::Counter& misses = obs::Registry::global().counter("mdp.mec_memo.misses");
+  const mdp::detail::MecKey key{avoid_set,
+                                common::effective_threads(options.threads, model.num_states()),
+                                options.seq_mec_threshold, options.seq_scc_region};
+  mdp::detail::MecMemo& memo = model.mec_memo();
+  if (std::shared_ptr<const MecList> kept = memo.find(key)) {
+    hits.increment();
+    return kept;
+  }
+  misses.increment();
+  auto mecs = std::make_shared<const MecList>(maximal_end_components_t(model, avoid_set, options));
+  memo.keep(key, mecs, model.num_outcomes() * sizeof(Outcome));
+  return mecs;
 }
 
 template <class ModelT>
@@ -674,12 +713,22 @@ std::vector<bool> reachable_states_t(const ModelT& model, const CheckOptions& op
   return std::vector<bool>(reached.begin(), reached.end());
 }
 
+/// The reachable-state set the verdicts read: all-true without a sweep on
+/// models whose every state is reachable by construction (explored ones),
+/// the sweep otherwise.
+template <class ModelT>
+std::vector<bool> verdict_reachable_t(const ModelT& model, const CheckOptions& options) {
+  if (!model.all_states_reachable()) return reachable_states_t(model, options);
+  std::vector<bool> all(model.num_states(), true);
+  GDP_DCHECK(reachable_states_t(model, options) == all);
+  return all;
+}
+
 template <class ModelT>
 FairProgressResult check_fair_progress_t(const ModelT& model, std::uint64_t set_mask,
                                          const CheckOptions& options) {
-  return mdp::detail::verdict_from_mecs_t(model, set_mask,
-                                          maximal_end_components_t(model, set_mask, options),
-                                          reachable_states_t(model, options));
+  return mdp::detail::verdict_from_mecs_t(model, set_mask, *memo_mecs_t(model, set_mask, options),
+                                          verdict_reachable_t(model, options));
 }
 
 }  // namespace gdp::mdp::par::detail

@@ -27,7 +27,12 @@
 //
 //   * check_fair_progress / check_lockout_freedom — the fair_progress
 //     verdicts computed over the parallel pipeline; identical
-//     FairProgressResult for every thread count.
+//     FairProgressResult for every thread count. They read the
+//     decomposition through the model's MEC memo (Model::mec_memo), which
+//     quant::analyze shares, so the progress, lockout and quant verdicts on
+//     one model decompose each avoid mask once between them; and they skip
+//     the reachability sweep on explored models, whose every state is
+//     reachable by construction (Model::all_states_reachable).
 //
 // Determinism is the contract that makes the parallel engine usable for
 // the paper's correctness claims: a verdict produced on 16 workers is the
@@ -74,7 +79,8 @@ Model explore_indexed(const algos::Algorithm& algo, const graph::Topology& t,
 
 /// Parallel MEC decomposition of the non-`avoid_set`-eating fragment;
 /// identical components (sets, order, philosopher masks) to
-/// mdp::maximal_end_components at every thread count.
+/// mdp::maximal_end_components at every thread count. Always computed
+/// fresh: the memo behind the verdicts is not consulted.
 std::vector<EndComponent> maximal_end_components(const Model& model,
                                                  std::uint64_t avoid_set = ~std::uint64_t{0},
                                                  CheckOptions options = {});
@@ -87,6 +93,10 @@ std::vector<bool> reachable_states(const Model& model, CheckOptions options = {}
 
 /// Fair-progress verdict over the parallel MEC decomposition; identical
 /// FairProgressResult to mdp::check_fair_progress at every thread count.
+/// Reads the decomposition through model.mec_memo() (keyed by set_mask,
+/// the effective thread count, seq_mec_threshold and seq_scc_region), and
+/// the reachable set from the sweep only when the model is not
+/// all_states_reachable(). Safe to call on one model from several threads.
 FairProgressResult check_fair_progress(const Model& model,
                                        std::uint64_t set_mask = ~std::uint64_t{0},
                                        CheckOptions options = {});

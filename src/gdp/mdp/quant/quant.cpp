@@ -70,24 +70,7 @@ QuantResult analyze(const Model& model, std::uint64_t target_set, QuantOptions o
 
 std::vector<QuantResult> analyze(const Model& model, const std::vector<std::uint64_t>& targets,
                                  QuantOptions options) {
-  GDP_CHECK_MSG(options.epsilon > 0.0, "quant::analyze needs epsilon > 0");
-  GDP_CHECK_MSG(model.num_phils() <= 64,
-                "quant::analyze: target masks are 64-bit, so at most 64 philosophers are "
-                "supported, got "
-                    << model.num_phils());
-  for (const std::uint64_t target_set : targets) {
-    GDP_CHECK_MSG(target_set != 0, "quant::analyze needs non-empty target sets");
-  }
-  detail::SharedSweeps shared = detail::make_shared_sweeps(model, options.check_options());
-  std::vector<QuantResult> results;
-  results.reserve(targets.size());
-  // Targets run in sequence (each one's sweeps already parallelize over the
-  // pool); only the SharedSweeps state crosses between them, so every entry
-  // matches the single-target call bit for bit.
-  for (const std::uint64_t target_set : targets) {
-    results.push_back(detail::analyze_one(model, target_set, options, shared));
-  }
-  return results;
+  return detail::analyze_many_t(model, targets, options);
 }
 
 QuantResult analyze(const algos::Algorithm& algo, const graph::Topology& t, QuantOptions options,

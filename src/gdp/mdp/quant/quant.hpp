@@ -44,8 +44,9 @@
 // Soundness. Value iteration alone can stop at any sup-norm residual and
 // still be arbitrarily far from the true value. Following
 // Haddad–Monmege-style interval iteration, the checker first collapses the
-// maximal end components of the relevant fragment (reusing
-// maximal_end_components / par::maximal_end_components) — the quotient has
+// maximal end components of the relevant fragment (the parallel
+// decomposition, read through the model's MEC memo that the fair-progress
+// verdicts fill and share — see par.hpp) — the quotient has
 // no end components besides its terminals, so the Bellman operator has a
 // unique fixed point — then iterates a lower bound up from 0 and an upper
 // bound down from 1 (for probabilities) or verifies a guessed upper bound
@@ -199,13 +200,15 @@ QuantResult analyze(const Model& model, std::uint64_t target_set = ~std::uint64_
 
 /// Multi-target analysis: one QuantResult per entry of `targets`, each
 /// bit-identical to analyze(model, targets[i], options) — but the
-/// target-independent sweeps are computed ONCE and shared: the reachable-
-/// state BFS, the full-model MEC decomposition and the full-model quotient
-/// that p_trap needs (the fragment MECs and quotients depend on the target
-/// and stay per-target). Checking lockout freedom for all n philosophers
-/// (targets = the n singleton masks) this way saves n-1 reachability
-/// sweeps and up to n-1 full MEC decompositions over calling analyze in a
-/// loop. Requires every mask to be non-empty.
+/// target-independent pieces are computed ONCE and shared: the reachable
+/// set (no sweep at all on explored models, whose every state is reachable
+/// by construction) and the full-model quotient that p_trap needs. The MEC
+/// decompositions, per target and the full model's mask 0 alike, come from
+/// the model's MEC memo (Model::mec_memo), so a mask an earlier verdict or
+/// analyze call on the same model already decomposed (with the same thread
+/// count and thresholds) is not decomposed again. The fragment quotients
+/// depend on the target and stay per-target. Requires every mask to be
+/// non-empty.
 std::vector<QuantResult> analyze(const Model& model, const std::vector<std::uint64_t>& targets,
                                  QuantOptions options = {});
 

@@ -18,9 +18,10 @@
 // member state's action is internal — and dropped — iff every outcome stays
 // in the same MEC; singleton non-MEC states cannot have fully-internal
 // actions, or they would be an EC themselves). Node ids, action order and
-// outcome order are assigned by one ascending state scan, so the quotient
-// bytes are identical for every thread count; the parallel passes only fill
-// precomputed disjoint ranges. Within a node, an action whose outcome list
+// outcome order are those of one ascending state scan, computed by range
+// passes whose boundaries depend only on the sizes (per-range counts, then
+// an ordered prefix), so the quotient bytes are identical for every thread
+// count. Within a node, an action whose outcome list
 // (destinations and float probability bits, in order) repeats an earlier
 // one is dropped, keeping the first occurrence in (member ascending,
 // philosopher) order: every operator here takes a max over a node's
@@ -55,10 +56,10 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <memory>
 #include <vector>
 
 #include "gdp/common/check.hpp"
-#include "gdp/common/counting_sort.hpp"
 #include "gdp/common/pool.hpp"
 #include "gdp/mdp/par/end_components_impl.hpp"
 #include "gdp/mdp/quant/quant.hpp"
@@ -239,46 +240,94 @@ inline Csr dedup_actions(Csr raw, int threads, std::size_t& duplicates) {
 /// always the kUnknown terminal. `mecs` must be the MEC decomposition of
 /// exactly this fragment (avoid_set == target_mask when target_terminal,
 /// avoid_set == 0 otherwise).
+///
+/// Every pass runs over parallel ranges of states, components or nodes.
+/// Node ids are those of one ascending state scan — a state opens a node
+/// when it is the first reached non-terminal member of its class — computed
+/// as per-range counts of the states that open a node, a prefix over the
+/// ranges, and a pass that numbers each range's openers in order.
 template <class ModelT>
-Quotient build_quotient(const ModelT& model, const std::vector<EndComponent>& mecs,
+Quotient build_quotient(const ModelT& model, const MecList& mecs,
                         const std::vector<bool>& reached, std::uint64_t target_mask,
                         bool target_terminal, const QuantOptions& options) {
   const std::size_t n = model.num_states();
   const int phils = model.num_phils();
   const int threads = n >= options.seq_sweep_threshold ? options.threads : 1;
+  const std::size_t ranges = (n + common::kRangeSize - 1) / common::kRangeSize;
 
   Quotient q;
   q.node_of.assign(n, kAbsent);
   q.mec_node.assign(mecs.size(), -1);
 
-  // MEC membership per state (members are disjoint across MECs).
-  std::vector<std::int32_t> mec_of(n, -1);
-  for (std::size_t m = 0; m < mecs.size(); ++m) {
-    for (const StateId s : mecs[m].states) mec_of[s] = static_cast<std::int32_t>(m);
-  }
-
-  // Class assignment: one ascending scan (deterministic node numbering).
-  auto classify = [&](StateId s) -> std::uint32_t {
-    if (target_terminal && (model.eaters(s) & target_mask) != 0) return kGoal;
-    if (model.frontier(s)) return kUnknown;
-    return kAbsent;  // a node; id assigned below
+  // A reached state is a terminal or a node member.
+  auto terminal = [&](std::size_t s) -> std::uint32_t {
+    const StateId state = static_cast<StateId>(s);
+    if (target_terminal && (model.eaters(state) & target_mask) != 0) return kGoal;
+    if (model.frontier(state)) return kUnknown;
+    return kAbsent;
   };
-  for (StateId s = 0; s < n; ++s) {
-    if (!reached[s]) continue;
-    const std::uint32_t c = classify(s);
-    if (c != kAbsent) {
-      q.node_of[s] = c;
-      continue;
+
+  // MEC membership per state (members are disjoint across MECs), and each
+  // MEC's first reached non-terminal member: the state that opens its node.
+  std::vector<std::int32_t> mec_of(n, -1);
+  std::vector<StateId> opener(mecs.size(), kAbsent);
+  common::parallel_ranges(mecs.size(), threads, [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t m = lo; m < hi; ++m) {
+      for (const StateId* it = mecs.begin(m); it != mecs.end(m); ++it) {
+        mec_of[*it] = static_cast<std::int32_t>(m);
+        if (opener[m] == kAbsent && reached[*it] && terminal(*it) == kAbsent) opener[m] = *it;
+      }
     }
-    const std::int32_t m = mec_of[s];
-    if (m >= 0) {
-      if (q.mec_node[m] < 0) q.mec_node[m] = static_cast<std::int32_t>(q.num_nodes++);
-      q.node_of[s] = static_cast<std::uint32_t>(q.mec_node[m]);
-    } else {
-      q.node_of[s] = q.num_nodes++;
+  });
+  // Valid once the counting pass below has marked the terminals.
+  auto node_state = [&](std::size_t s) { return reached[s] && q.node_of[s] == kAbsent; };
+  auto opens_node = [&](std::size_t s) {
+    return node_state(s) && (mec_of[s] < 0 || opener[static_cast<std::size_t>(mec_of[s])] == s);
+  };
+
+  // Node numbering: per-range opener counts, a prefix, then each range
+  // numbers its openers in ascending order.
+  std::vector<std::uint32_t> range_base(ranges + 1, 0);
+  common::parallel_ranges(n, threads, [&](std::size_t lo, std::size_t hi) {
+    std::uint32_t count = 0;
+    for (std::size_t s = lo; s < hi; ++s) {
+      if (!reached[s]) continue;
+      q.node_of[s] = terminal(s);
+      count += opens_node(s) ? 1 : 0;
     }
-  }
+    range_base[lo / common::kRangeSize + 1] = count;
+  });
+  for (std::size_t r = 0; r < ranges; ++r) range_base[r + 1] += range_base[r];
+  q.num_nodes = range_base[ranges];
+  common::parallel_ranges(n, threads, [&](std::size_t lo, std::size_t hi) {
+    std::uint32_t next = range_base[lo / common::kRangeSize];
+    for (std::size_t s = lo; s < hi; ++s) {
+      if (!opens_node(s)) continue;
+      q.node_of[s] = next;
+      if (mec_of[s] >= 0) {
+        q.mec_node[static_cast<std::size_t>(mec_of[s])] = static_cast<std::int32_t>(next);
+      }
+      ++next;
+    }
+  });
+  // The other node states of each MEC join its node.
+  common::parallel_ranges(mecs.size(), threads, [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t m = lo; m < hi; ++m) {
+      if (q.mec_node[m] < 0) continue;
+      for (const StateId* it = mecs.begin(m); it != mecs.end(m); ++it) {
+        if (node_state(*it)) q.node_of[*it] = static_cast<std::uint32_t>(q.mec_node[m]);
+      }
+    }
+  });
   q.initial = reached[model.initial()] ? q.node_of[model.initial()] : kAbsent;
+
+  // fn(s) for every member of MEC m's node, ascending.
+  auto for_each_member = [&](std::size_t m, const auto& fn) {
+    const auto node = static_cast<std::uint32_t>(q.mec_node[m]);
+    for (const StateId* it = mecs.begin(m); it != mecs.end(m); ++it) {
+      if (q.node_of[*it] == node) fn(*it);
+    }
+  };
 
   // Calls fn(begin, end) for every external action of node member s.
   auto for_each_external = [&](std::size_t s, const auto& fn) {
@@ -298,62 +347,89 @@ Quotient build_quotient(const ModelT& model, const std::vector<EndComponent>& me
     }
   };
 
-  // External-action and outcome counts per state (parallel; disjoint writes).
-  std::vector<std::uint32_t> act_count(n, 0), out_count(n, 0);
+  // External-action and outcome counts per state, and their totals per
+  // range (parallel; disjoint writes). A node of one state (outside every
+  // MEC) takes its state's counts as its own.
+  Csr raw;
+  raw.num_nodes = q.num_nodes;
+  raw.act_off.assign(std::size_t{q.num_nodes} + 1, 0);
+  std::vector<std::uint32_t> node_out(std::size_t{q.num_nodes} + 1, 0);
+  std::vector<std::uint32_t> act_at(n, 0), out_at(n, 0);
+  std::vector<std::uint64_t> range_acts(ranges, 0), range_outs(ranges, 0);
   common::parallel_ranges(n, threads, [&](std::size_t lo, std::size_t hi) {
+    std::uint64_t range_a = 0, range_o = 0;
     for (std::size_t s = lo; s < hi; ++s) {
-      if (!is_node(q.node_of[s])) continue;
+      const std::uint32_t node = q.node_of[s];
+      if (!is_node(node)) continue;
       std::uint32_t acts = 0, outs = 0;
       for_each_external(s, [&](const Outcome* begin, const Outcome* end) {
         ++acts;
         outs += static_cast<std::uint32_t>(end - begin);
       });
-      act_count[s] = acts;
-      out_count[s] = outs;
+      act_at[s] = acts;
+      out_at[s] = outs;
+      if (mec_of[s] < 0) {
+        raw.act_off[node + 1] = acts;
+        node_out[node + 1] = outs;
+      }
+      range_a += acts;
+      range_o += outs;
     }
+    range_acts[lo / common::kRangeSize] = range_a;
+    range_outs[lo / common::kRangeSize] = range_o;
   });
-  std::size_t total_acts = 0, total_outs = 0;
-  for (std::size_t s = 0; s < n; ++s) {
-    total_acts += act_count[s];
-    total_outs += out_count[s];
+  std::uint64_t total_acts = 0, total_outs = 0;
+  for (std::size_t r = 0; r < ranges; ++r) {
+    total_acts += range_acts[r];
+    total_outs += range_outs[r];
   }
   // Checked before deduplication: the raw quotient uses the same offsets.
   check_csr_offsets(total_acts, "quotient actions");
   check_csr_offsets(total_outs, "quotient outcomes");
 
-  // Per-node offsets and per-state write bases, in (node, member-state
-  // ascending) order — one sequential prefix pass, as in par::explore.
-  Csr raw;
-  raw.num_nodes = q.num_nodes;
-  std::vector<std::uint32_t> act_base(n, 0), out_base(n, 0);
-  raw.act_off.assign(std::size_t{q.num_nodes} + 1, 0);
-  {
-    // Members of each node in ascending state order: one counting sort by
-    // node id (keys past num_nodes — the terminals — are left out).
-    const common::Buckets members =
-        common::counting_sort(n, q.num_nodes, [&](std::uint32_t s) { return q.node_of[s]; });
-    std::uint32_t next_act = 0, next_out = 0;
-    for (std::uint32_t node = 0; node < q.num_nodes; ++node) {
-      for (const StateId* it = members.begin(node); it != members.end(node); ++it) {
-        const StateId s = *it;
-        act_base[s] = next_act;
-        out_base[s] = next_out;
-        next_act += act_count[s];
-        next_out += out_count[s];
-      }
-      raw.act_off[node + 1] = next_act;
+  // Per-node offsets in (node, member-state ascending) order: the MEC
+  // nodes' sums, a parallel prefix over all nodes, then each MEC node turns
+  // its members' counts into their write bases (act_at / out_at hold bases
+  // for MEC members from here on; a one-state node writes at its node's
+  // offsets).
+  common::parallel_ranges(mecs.size(), threads, [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t m = lo; m < hi; ++m) {
+      if (q.mec_node[m] < 0) continue;
+      const std::size_t node = static_cast<std::size_t>(q.mec_node[m]);
+      for_each_member(m, [&](StateId s) {
+        raw.act_off[node + 1] += act_at[s];
+        node_out[node + 1] += out_at[s];
+      });
     }
-    raw.out_off.assign(std::size_t{next_act} + 1, 0);
-    raw.prob.resize(next_out);
-    raw.dest.resize(next_out);
-  }
+  });
+  par::detail::counts_to_offsets(raw.act_off, threads);
+  par::detail::counts_to_offsets(node_out, threads);
+  common::parallel_ranges(mecs.size(), threads, [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t m = lo; m < hi; ++m) {
+      if (q.mec_node[m] < 0) continue;
+      const std::size_t node = static_cast<std::size_t>(q.mec_node[m]);
+      std::uint32_t next_act = raw.act_off[node], next_out = node_out[node];
+      for_each_member(m, [&](StateId s) {
+        const std::uint32_t acts = act_at[s], outs = out_at[s];
+        act_at[s] = next_act;
+        out_at[s] = next_out;
+        next_act += acts;
+        next_out += outs;
+      });
+    }
+  });
+  raw.out_off.assign(static_cast<std::size_t>(total_acts) + 1, 0);
+  raw.prob.resize(total_outs);
+  raw.dest.resize(total_outs);
 
   // Fill (parallel; each state owns its precomputed ranges).
   common::parallel_ranges(n, threads, [&](std::size_t lo, std::size_t hi) {
     for (std::size_t s = lo; s < hi; ++s) {
-      if (!is_node(q.node_of[s])) continue;
-      std::uint32_t a = act_base[s];
-      std::uint32_t o_at = out_base[s];
+      const std::uint32_t node = q.node_of[s];
+      if (!is_node(node)) continue;
+      const bool in_mec = mec_of[s] >= 0;
+      std::uint32_t a = in_mec ? act_at[s] : raw.act_off[node];
+      std::uint32_t o_at = in_mec ? out_at[s] : node_out[node];
       for_each_external(s, [&](const Outcome* begin, const Outcome* end) {
         for (const Outcome* o = begin; o != end; ++o, ++o_at) {
           raw.prob[o_at] = o->prob;
@@ -805,70 +881,60 @@ inline Interval make_interval(double lo, double hi) {
   return lo <= hi ? Interval{lo, hi} : Interval{hi, lo};
 }
 
-/// Target-independent state shared across the targets of one multi-target
-/// analyze() call: the reachable-state BFS up front, and the full-model
-/// pieces p_trap needs (MECs with avoid_set = 0 and the target_terminal =
-/// false quotient — build_quotient ignores the target mask there) built
-/// lazily on first demand, since targets with no fair avoiding MEC on a
-/// complete model never touch them.
+/// The one target-independent piece shared across the targets of one
+/// multi-target analyze() call: the full-model quotient p_trap needs (MECs
+/// with avoid_set = 0 and the target_terminal = false quotient —
+/// build_quotient ignores the target mask there), built lazily on first
+/// demand, since targets with no fair avoiding MEC on a complete model
+/// never touch it. The decompositions themselves come from the model's
+/// MecMemo, which every verdict on the model shares.
 struct SharedSweeps {
-  std::vector<bool> reached;
-  bool complete = false;
-
   bool full_built = false;
-  std::vector<EndComponent> full_mecs;
   Quotient full_q;
 
   template <class ModelT>
-  void ensure_full(const ModelT& model, const par::CheckOptions& co,
+  void ensure_full(const ModelT& model, const std::vector<bool>& reached,
                    const QuantOptions& options) {
     if (full_built) return;
+    std::shared_ptr<const MecList> full_mecs;
     {
       obs::TimedSpan span("quant.mec");
-      full_mecs = par::detail::maximal_end_components_t(model, 0, co);
+      full_mecs = par::detail::memo_mecs_t(model, 0, options.check_options());
     }
     obs::TimedSpan span("quant.quotient");
-    full_q = build_quotient(model, full_mecs, reached, /*target_mask=*/0,
+    full_q = build_quotient(model, *full_mecs, reached, /*target_mask=*/0,
                             /*target_terminal=*/false, options);
     full_built = true;
   }
 };
 
-template <class ModelT>
-SharedSweeps make_shared_sweeps(const ModelT& model, const par::CheckOptions& co) {
-  SharedSweeps shared;
-  shared.complete = !model.truncated();
-  shared.reached = par::detail::reachable_states_t(model, co);
-  return shared;
-}
-
 /// The per-target core: everything in analyze() that depends on the target
-/// mask. Reads the target-independent sweeps from `shared` (building the
-/// full-model pieces lazily), so n targets cost one reachability BFS and at
-/// most one full MEC decomposition between them. Each phase runs under its
-/// own child span of quant.analyze (quant.mec, quant.quotient, quant.p_max,
-/// quant.p_min, quant.e_min, quant.e_max, quant.p_trap).
+/// mask. `reached` is the model's reachable-state set
+/// (par::detail::verdict_reachable_t), computed once per analyze() call;
+/// `shared` holds the full-model quotient across targets. Each phase runs
+/// under its own child span of quant.analyze (quant.mec, quant.quotient,
+/// quant.p_max, quant.p_min, quant.e_min, quant.e_max, quant.p_trap).
 template <class ModelT>
 QuantResult analyze_one(const ModelT& model, std::uint64_t target_set,
-                        const QuantOptions& options, SharedSweeps& shared) {
+                        const QuantOptions& options, const std::vector<bool>& reached,
+                        SharedSweeps& shared) {
   obs::TimedSpan span("quant.analyze");
   QuantResult result;
   result.target_set = target_set;
   result.num_states = model.num_states();
   result.epsilon = options.epsilon;
 
-  const bool complete = shared.complete;
-  const auto co = options.check_options();
-  const std::vector<bool>& reached = shared.reached;
+  const bool complete = !model.truncated();
 
   // MECs of the meal-free fragment, and which of them are fair traps.
   obs::TimedSpan mec_span("quant.mec");
-  const std::vector<EndComponent> mecs =
-      par::detail::maximal_end_components_t(model, target_set, co);
+  const std::shared_ptr<const MecList> kept =
+      par::detail::memo_mecs_t(model, target_set, options.check_options());
+  const MecList& mecs = *kept;
   result.num_avoid_mecs = mecs.size();
   std::vector<std::uint8_t> fair_mec(mecs.size(), 0);
   for (std::size_t m = 0; m < mecs.size(); ++m) {
-    fair_mec[m] = mecs[m].fair(model.num_phils()) ? 1 : 0;
+    fair_mec[m] = mecs.fair(m, model.num_phils()) ? 1 : 0;
     result.num_fair_avoid_mecs += fair_mec[m];
   }
   mec_span.stop();
@@ -977,7 +1043,7 @@ QuantResult analyze_one(const ModelT& model, std::uint64_t target_set,
   if (result.num_fair_avoid_mecs == 0 && complete) {
     result.p_trap = {0.0, 0.0};
   } else {
-    shared.ensure_full(model, co, options);
+    shared.ensure_full(model, reached, options);
     obs::TimedSpan phase_span("quant.p_trap");
     const Quotient& full_q = shared.full_q;
     // Goal nodes: full-model MEC classes holding a fair-trap state (from
@@ -986,8 +1052,8 @@ QuantResult analyze_one(const ModelT& model, std::uint64_t target_set,
     std::vector<double> pins(full_q.num_nodes, -1.0);
     for (std::size_t m = 0; m < mecs.size(); ++m) {
       if (!fair_mec[m]) continue;
-      for (const StateId s : mecs[m].states) {
-        if (reached[s] && is_node(full_q.node_of[s])) pins[full_q.node_of[s]] = 1.0;
+      for (const StateId* s = mecs.begin(m); s != mecs.end(m); ++s) {
+        if (reached[*s] && is_node(full_q.node_of[*s])) pins[full_q.node_of[*s]] = 1.0;
       }
     }
     if (full_q.initial == kUnknown || full_q.initial == kAbsent) {
@@ -1017,13 +1083,20 @@ QuantResult analyze_one(const ModelT& model, std::uint64_t target_set,
   return result;
 }
 
-/// Single-target entry with the argument checks of the public analyze();
-/// the one definition both Model and ChunkedModel verdicts go through.
+/// Multi-target entry: one QuantResult per target, each bit-identical to
+/// the single-target call. Targets run in sequence (each one's sweeps
+/// already parallelize over the pool); only the reachable set and the
+/// SharedSweeps state cross between them. The one definition both Model
+/// and ChunkedModel verdicts go through.
 template <class ModelT>
-QuantResult analyze_t(const ModelT& model, std::uint64_t target_set, const QuantOptions& options) {
+std::vector<QuantResult> analyze_many_t(const ModelT& model,
+                                        const std::vector<std::uint64_t>& targets,
+                                        const QuantOptions& options) {
   GDP_CHECK_MSG(options.epsilon > 0.0, "quant::analyze needs epsilon > 0");
-  GDP_CHECK_MSG(target_set != 0, "quant::analyze needs a non-empty target set");
-  // target_set is one 64-bit mask (bit p = philosopher p): beyond 64
+  for (const std::uint64_t target_set : targets) {
+    GDP_CHECK_MSG(target_set != 0, "quant::analyze needs non-empty target sets");
+  }
+  // A target is one 64-bit mask (bit p = philosopher p): beyond 64
   // philosophers the mask cannot address every philosopher and verdicts
   // would be silently wrong. Model construction refuses such models too;
   // this guards hand-built callers at the mask entry point.
@@ -1031,8 +1104,20 @@ QuantResult analyze_t(const ModelT& model, std::uint64_t target_set, const Quant
                 "quant::analyze: target masks are 64-bit, so at most 64 philosophers are "
                 "supported, got "
                     << model.num_phils());
-  SharedSweeps shared = make_shared_sweeps(model, options.check_options());
-  return analyze_one(model, target_set, options, shared);
+  const std::vector<bool> reached =
+      par::detail::verdict_reachable_t(model, options.check_options());
+  SharedSweeps shared;
+  std::vector<QuantResult> results;
+  results.reserve(targets.size());
+  for (const std::uint64_t target_set : targets) {
+    results.push_back(analyze_one(model, target_set, options, reached, shared));
+  }
+  return results;
+}
+
+template <class ModelT>
+QuantResult analyze_t(const ModelT& model, std::uint64_t target_set, const QuantOptions& options) {
+  return analyze_many_t(model, std::vector<std::uint64_t>{target_set}, options).front();
 }
 
 }  // namespace gdp::mdp::quant::detail

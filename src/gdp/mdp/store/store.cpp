@@ -332,7 +332,9 @@ ChunkedModel ChunkedModel::from_model(const Model& model, const KeyCodec& codec,
   out.num_phils_ = model.num_phils();
   out.num_states_ = model.num_states();
   out.chunk_states_ = options.chunk_states;
+  out.num_outcomes_ = model.num_outcomes();
   out.truncated_ = model.truncated();
+  out.all_reachable_ = model.all_states_reachable();
   out.codec_ = codec;
   out.options_ = std::move(options);
 
@@ -528,8 +530,10 @@ Model ChunkedModel::materialize() const {
       frontier_flags.push_back(c.frontier(local));
     }
   }
-  return Model::build(num_phils_, std::move(offsets), std::move(outcomes), std::move(eater_masks),
-                      std::move(frontier_flags), truncated_);
+  Model model = Model::build(num_phils_, std::move(offsets), std::move(outcomes),
+                             std::move(eater_masks), std::move(frontier_flags), truncated_);
+  model.all_reachable_ = all_reachable_;
+  return model;
 }
 
 void ChunkedModel::save_checkpoint(const std::string& path) const {
@@ -606,6 +610,7 @@ ChunkedModel ChunkedModel::load_checkpoint(const algos::Algorithm& algo, const g
                       c.num_phils() == out.num_phils_ && c.key_words() == codec.key_words(),
                   "store: chunk " << ci << " of " << path << " has an inconsistent header");
     states_seen += c.count();
+    out.num_outcomes_ += c.num_outcomes();
     cursor += sizes[ci];
     out.chunks_.push_back(std::move(c));
   }
@@ -671,7 +676,7 @@ std::vector<bool> reachable_states(const ChunkedModel& model, par::CheckOptions 
 std::vector<EndComponent> maximal_end_components(const ChunkedModel& model,
                                                  std::uint64_t avoid_set,
                                                  par::CheckOptions options) {
-  return par::detail::maximal_end_components_t(model, avoid_set, options);
+  return par::detail::maximal_end_components_t(model, avoid_set, options).to_end_components();
 }
 
 FairProgressResult check_fair_progress(const ChunkedModel& model, std::uint64_t set_mask,
@@ -679,9 +684,20 @@ FairProgressResult check_fair_progress(const ChunkedModel& model, std::uint64_t 
   return par::detail::check_fair_progress_t(model, set_mask, options);
 }
 
+FairProgressResult check_lockout_freedom(const ChunkedModel& model, PhilId victim,
+                                         par::CheckOptions options) {
+  return check_fair_progress(model, std::uint64_t{1} << victim, options);
+}
+
 quant::QuantResult analyze(const ChunkedModel& model, std::uint64_t target_set,
                            quant::QuantOptions options) {
   return quant::detail::analyze_t(model, target_set, options);
+}
+
+std::vector<quant::QuantResult> analyze(const ChunkedModel& model,
+                                        const std::vector<std::uint64_t>& targets,
+                                        quant::QuantOptions options) {
+  return quant::detail::analyze_many_t(model, targets, options);
 }
 
 }  // namespace gdp::mdp::store

@@ -247,6 +247,13 @@ class ChunkedModel {
   bool truncated() const { return truncated_; }
   bool frontier(StateId s) const { return chunk_of(s).frontier(local_of(s)); }
   std::size_t num_rows() const { return num_states_ * static_cast<std::size_t>(num_phils_); }
+  std::size_t num_outcomes() const { return num_outcomes_; }
+  /// As Model::all_states_reachable: carried over from the explored model
+  /// by from_model (and back by materialize); a loaded checkpoint does not
+  /// record it, so load_checkpoint models keep the reachability sweep.
+  bool all_states_reachable() const { return all_reachable_; }
+  /// As Model::mec_memo: the verdict entry points' decomposition memo.
+  mdp::detail::MecMemo& mec_memo() const { return mec_memo_; }
 
   // --- store-specific surface ---
   const KeyCodec& codec() const { return codec_; }
@@ -308,7 +315,9 @@ class ChunkedModel {
   int num_phils_ = 0;
   std::size_t num_states_ = 0;
   std::size_t chunk_states_ = 0;
+  std::size_t num_outcomes_ = 0;
   bool truncated_ = false;
+  bool all_reachable_ = false;
   KeyCodec codec_;
   std::vector<Chunk> chunks_;
   StoreOptions options_;
@@ -318,6 +327,7 @@ class ChunkedModel {
   std::shared_ptr<const std::uint64_t> file_map_;
   /// Present iff options_.max_resident_chunks > 0 (see detail::Residency).
   std::unique_ptr<detail::Residency> residency_;
+  mutable mdp::detail::MecMemo mec_memo_;
 };
 
 /// Level-synchronous exploration straight into a chunked store (the same
@@ -344,7 +354,8 @@ ChunkedModel resume(const algos::Algorithm& algo, const graph::Topology& t,
 // count, and truncated models keep the exact refusal semantics
 // (kUnknownTruncated / Certainty::kTruncated). Under a
 // max_resident_chunks budget the kernels page chunks in and out as they
-// sweep; verdicts are unaffected (eviction only drops clean pages).
+// sweep; verdicts are unaffected (eviction only drops clean pages). The
+// verdict and quant calls share the model's MEC memo, exactly as on Model.
 
 std::vector<bool> reachable_states(const ChunkedModel& model, par::CheckOptions options = {});
 
@@ -356,8 +367,15 @@ FairProgressResult check_fair_progress(const ChunkedModel& model,
                                        std::uint64_t set_mask = ~std::uint64_t{0},
                                        par::CheckOptions options = {});
 
+FairProgressResult check_lockout_freedom(const ChunkedModel& model, PhilId victim,
+                                         par::CheckOptions options = {});
+
 quant::QuantResult analyze(const ChunkedModel& model,
                            std::uint64_t target_set = ~std::uint64_t{0},
                            quant::QuantOptions options = {});
+
+std::vector<quant::QuantResult> analyze(const ChunkedModel& model,
+                                        const std::vector<std::uint64_t>& targets,
+                                        quant::QuantOptions options = {});
 
 }  // namespace gdp::mdp::store

@@ -16,9 +16,11 @@
 
 #include "gdp/algos/algorithm.hpp"
 #include "gdp/common/check.hpp"
+#include "gdp/common/pool.hpp"
 #include "gdp/graph/builders.hpp"
 #include "gdp/mdp/level_explore.hpp"
 #include "gdp/mdp/par/par.hpp"
+#include "gdp/mdp/quant/quant.hpp"
 #include "gdp/obs/obs.hpp"
 #include "gdp/sim/state.hpp"
 #include "random_mdp.hpp"
@@ -729,6 +731,187 @@ TEST(ParallelIntern, RefusesIdSpaceOverflow) {
     FAIL() << "no throw";
   } catch (const PreconditionError& e) {
     EXPECT_NE(std::string(e.what()).find("4294967296"), std::string::npos) << e.what();
+  }
+}
+
+
+// --- The per-model MEC memo. ---
+//
+// The verdict entry points read decompositions through the model's memo,
+// keyed by (avoid mask, effective thread count, seq_mec_threshold,
+// seq_scc_region). Each test compares what they return with the uncached
+// sequential checker.
+
+/// The verdict sequence every caller runs on one explored model: progress,
+/// lockout-freedom of each philosopher, then quant over everyone and each
+/// singleton.
+struct VerdictRun {
+  FairProgressResult progress;
+  std::vector<FairProgressResult> lockout;
+  std::vector<quant::QuantResult> quants;
+};
+
+VerdictRun run_verdicts(const Model& model, int threads) {
+  par::CheckOptions co;
+  co.threads = threads;
+  quant::QuantOptions qo;
+  qo.threads = threads;
+  VerdictRun run;
+  run.progress = par::check_fair_progress(model, ~std::uint64_t{0}, co);
+  std::vector<std::uint64_t> targets{~std::uint64_t{0}};
+  for (int p = 0; p < model.num_phils(); ++p) {
+    run.lockout.push_back(par::check_lockout_freedom(model, static_cast<PhilId>(p), co));
+    targets.push_back(std::uint64_t{1} << p);
+  }
+  run.quants = quant::analyze(model, targets, qo);
+  return run;
+}
+
+void expect_runs_identical(const VerdictRun& got, const VerdictRun& want) {
+  expect_results_identical(want.progress, got.progress);
+  ASSERT_EQ(got.lockout.size(), want.lockout.size());
+  for (std::size_t p = 0; p < got.lockout.size(); ++p) {
+    expect_results_identical(want.lockout[p], got.lockout[p]);
+  }
+  ASSERT_EQ(got.quants.size(), want.quants.size());
+  for (std::size_t i = 0; i < got.quants.size(); ++i) {
+    EXPECT_EQ(got.quants[i].summary(), want.quants[i].summary());
+    EXPECT_EQ(got.quants[i].p_min, want.quants[i].p_min);
+    EXPECT_EQ(got.quants[i].p_trap, want.quants[i].p_trap);
+    EXPECT_EQ(got.quants[i].sweeps, want.quants[i].sweeps);
+  }
+}
+
+/// Deltas of the memo counters around one call (obs is on for the scope).
+class MemoCounters {
+ public:
+  MemoCounters() { obs::set_enabled(true); }
+  ~MemoCounters() { obs::set_enabled(false); }
+  std::uint64_t hits() const { return hits_.value() - hits0_; }
+  std::uint64_t misses() const { return misses_.value() - misses0_; }
+
+ private:
+  obs::Counter& hits_ = obs::Registry::global().counter("mdp.mec_memo.hits");
+  obs::Counter& misses_ = obs::Registry::global().counter("mdp.mec_memo.misses");
+  std::uint64_t hits0_ = hits_.value();
+  std::uint64_t misses0_ = misses_.value();
+};
+
+TEST(MecMemo, VerdictSequenceDecomposesEachMaskOnce) {
+  // n philosophers: progress decomposes ~0 and lockout-freedom each 1 << p
+  // (n + 1 misses); quant over ~0 and the n singletons hits all of them,
+  // and its p_trap, needed because gdp1 is not lockout-free, decomposes
+  // mask 0 (one more miss). Four philosophers give 5 hits and 6 misses.
+  struct Case {
+    graph::Topology t;
+    std::uint64_t hits, misses;
+  };
+  const auto algo = algos::make_algorithm("gdp1");
+  for (const Case& c : {Case{graph::classic_ring(3), 4, 5}, Case{graph::parallel_arcs(4), 5, 6}}) {
+    for (const int threads : thread_counts()) {
+      SCOPED_TRACE(c.t.name() + " threads=" + std::to_string(threads));
+      par::CheckOptions co;
+      co.threads = threads;
+      const Model model = par::explore(*algo, c.t, co);
+      ASSERT_TRUE(model.all_states_reachable());
+      VerdictRun warm;
+      {
+        const MemoCounters counters;
+        warm = run_verdicts(model, threads);
+        EXPECT_EQ(counters.hits(), c.hits);
+        EXPECT_EQ(counters.misses(), c.misses);
+      }
+      EXPECT_GT(model.mec_memo().bytes(), 0u);
+      EXPECT_LE(model.mec_memo().bytes(), model.num_outcomes() * sizeof(Outcome));
+
+      // A copy starts empty and computes every answer afresh.
+      const Model fresh = model;
+      EXPECT_EQ(fresh.mec_memo().bytes(), 0u);
+      EXPECT_TRUE(fresh.all_states_reachable());
+      expect_runs_identical(run_verdicts(fresh, threads), warm);
+      // The warm model answers the whole sequence again from its memo.
+      const MemoCounters again;
+      expect_runs_identical(run_verdicts(model, threads), warm);
+      EXPECT_EQ(again.misses(), 0u);
+      EXPECT_EQ(again.hits(), c.hits + c.misses);
+    }
+  }
+}
+
+TEST(MecMemo, ConcurrentVerdictsOnOneModel) {
+  // Two callers run the verdict sequence on one model at once, each on its
+  // own two-worker pool; both must read what a fresh copy computes.
+  const auto algo = algos::make_algorithm("lr2");
+  const Model model = par::explore(*algo, graph::parallel_arcs(3));
+  const VerdictRun want = run_verdicts(Model(model), 1);
+  std::vector<VerdictRun> got(2);
+  common::run_workers(2, [&](unsigned k) { got[k] = run_verdicts(model, 2); });
+  for (const VerdictRun& run : got) expect_runs_identical(run, want);
+}
+
+TEST(MecMemo, StopsKeepingAtTheModelsOutcomeBytes) {
+  // Every avoid mask at many scc-region settings (each a distinct key):
+  // far more decompositions than the budget holds. The memo fills up to
+  // the model's outcome bytes, then returns results without keeping them,
+  // and every verdict still matches the uncached sequential checker.
+  const auto algo = algos::make_algorithm("gdp1");
+  const Model model = par::explore(*algo, graph::classic_ring(3));
+  const std::size_t budget = model.num_outcomes() * sizeof(Outcome);
+  std::vector<FairProgressResult> want;
+  for (const std::uint64_t mask : masks_for(model.num_phils())) {
+    want.push_back(check_fair_progress(model, mask));
+  }
+  std::size_t refused = 0;
+  for (std::size_t region = 1; region <= 8'192; region *= 2) {
+    const std::vector<std::uint64_t> masks = masks_for(model.num_phils());
+    for (std::size_t i = 0; i < masks.size(); ++i) {
+      SCOPED_TRACE("region=" + std::to_string(region) + " mask=" + std::to_string(masks[i]));
+      par::CheckOptions co;
+      co.threads = 2;
+      co.seq_mec_threshold = 1;
+      co.seq_scc_region = region;
+      const std::size_t before = model.mec_memo().bytes();
+      expect_results_identical(want[i], par::check_fair_progress(model, masks[i], co));
+      const std::size_t after = model.mec_memo().bytes();
+      EXPECT_LE(after, budget);
+      if (after != before) continue;
+      // Not kept: the same call decomposes again.
+      ++refused;
+      const MemoCounters counters;
+      expect_results_identical(want[i], par::check_fair_progress(model, masks[i], co));
+      EXPECT_EQ(counters.misses(), 1u);
+      EXPECT_EQ(model.mec_memo().bytes(), before);
+    }
+  }
+  EXPECT_GT(refused, 0u);
+  EXPECT_GT(model.mec_memo().bytes(), budget / 2);
+}
+
+TEST(MecMemo, BuiltModelsKeepTheReachabilitySweep) {
+  // s0 (initial) -> s1, where P0 eats forever; s2 is a fair end component
+  // that nobody eats in, and no state reaches it. Model::build models may
+  // hold such states, so their verdicts keep the reachability sweep: the
+  // trap is unreachable, progress is certain and p_trap is 0.
+  const std::vector<Outcome> outcomes = {{1.0f, 1}, {1.0f, 1}, {1.0f, 1},
+                                         {1.0f, 1}, {1.0f, 2}, {1.0f, 2}};
+  const Model model = Model::build(2, {0, 1, 2, 3, 4, 5, 6}, outcomes, {0, 0b01, 0},
+                                   {false, false, false});
+  ASSERT_FALSE(model.all_states_reachable());
+  for (const int threads : thread_counts()) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    par::CheckOptions co;
+    co.threads = threads;
+    co.seq_mec_threshold = 1;
+    const FairProgressResult progress = par::check_fair_progress(model, ~std::uint64_t{0}, co);
+    EXPECT_EQ(progress.verdict, Verdict::kProgressCertain);
+    EXPECT_EQ(progress.num_fair_mecs, 1u);
+    quant::QuantOptions qo;
+    qo.threads = threads;
+    qo.seq_mec_threshold = 1;
+    const quant::QuantResult q = quant::analyze(model, ~std::uint64_t{0}, qo);
+    EXPECT_EQ(q.num_fair_avoid_mecs, 1u);
+    EXPECT_EQ(q.p_trap, (quant::Interval{0.0, 0.0}));
+    EXPECT_EQ(q.certainty, quant::Certainty::kCertified);
   }
 }
 

@@ -1070,7 +1070,7 @@ TEST(QuantReference, EminDomainEqualsFragmentDfs) {
       SCOPED_TRACE("model " + std::to_string(k) + " target " + std::to_string(target));
       const auto mecs = maximal_end_components(m, target);
       const detail::Quotient fq =
-          detail::build_quotient(m, mecs, reached, target, true, pooled_options(2));
+          detail::build_quotient(m, MecList::from(mecs), reached, target, true, pooled_options(2));
       raw_actions += ref::build_quotient(m, mecs, reached, target, true).out_off.size() - 1;
       kept_actions += fq.num_actions();
       const std::vector<std::uint8_t> node_reach = fq.reachable_nodes();
@@ -1082,6 +1082,117 @@ TEST(QuantReference, EminDomainEqualsFragmentDfs) {
   }
   // The generator's planted duplicates reach the quotient.
   EXPECT_LT(kept_actions, raw_actions);
+}
+
+// --- The per-model MEC memo. ------------------------------------------------
+//
+// Verdicts and quant read decompositions through the model's memo. A model
+// whose memo every mask already sits in must give exactly what a fresh
+// copy (whose memo starts empty) computes.
+
+constexpr StateId kAbsentState = 0xFFFFFFFFu;
+
+void expect_same_verdict(const FairProgressResult& got, const FairProgressResult& want) {
+  EXPECT_EQ(got.verdict, want.verdict);
+  EXPECT_EQ(got.avoid_set, want.avoid_set);
+  EXPECT_EQ(got.num_states, want.num_states);
+  EXPECT_EQ(got.num_mecs, want.num_mecs);
+  EXPECT_EQ(got.num_fair_mecs, want.num_fair_mecs);
+  EXPECT_EQ(got.witness_size, want.witness_size);
+  EXPECT_EQ(got.witness_state.value_or(kAbsentState), want.witness_state.value_or(kAbsentState));
+}
+
+struct Verdicts {
+  std::vector<FairProgressResult> fair;  // progress, then lockout of each philosopher
+  std::vector<QuantResult> quant;        // everyone, then each singleton
+};
+
+Verdicts model_verdicts(const Model& m, const QuantOptions& qo) {
+  const par::CheckOptions co = qo.check_options();
+  Verdicts v;
+  v.fair.push_back(par::check_fair_progress(m, ~std::uint64_t{0}, co));
+  for (int p = 0; p < m.num_phils(); ++p) {
+    v.fair.push_back(par::check_lockout_freedom(m, static_cast<PhilId>(p), co));
+  }
+  v.quant = analyze(m, all_and_singleton_targets(m.num_phils()), qo);
+  return v;
+}
+
+void expect_same_verdicts(const Verdicts& got, const Verdicts& want) {
+  ASSERT_EQ(got.fair.size(), want.fair.size());
+  for (std::size_t i = 0; i < got.fair.size(); ++i) expect_same_verdict(got.fair[i], want.fair[i]);
+  ASSERT_EQ(got.quant.size(), want.quant.size());
+  for (std::size_t i = 0; i < got.quant.size(); ++i) {
+    expect_matches_reference(got.quant[i], want.quant[i]);
+  }
+}
+
+TEST(QuantMemo, WarmModelMatchesAFreshCopy) {
+  std::vector<Model> models;
+  models.push_back(par::explore(*algos::make_algorithm("gdp1"), graph::classic_ring(3)));
+  models.push_back(par::explore(*algos::make_algorithm("lr2"), graph::parallel_arcs(3)));
+  for (std::uint64_t seed = 0; seed < 12; ++seed) {
+    models.push_back(testutil::random_mdp(seed, quant_shape(seed)));
+  }
+  for (std::size_t k = 0; k < models.size(); ++k) {
+    for (const int threads : {1, 2, 4}) {
+      for (const bool pooled : {false, true}) {
+        SCOPED_TRACE("model " + std::to_string(k) + " threads=" + std::to_string(threads) +
+                     (pooled ? " pooled" : " default thresholds"));
+        QuantOptions qo = pooled ? pooled_options(threads, 4'000) : QuantOptions{};
+        qo.threads = threads;
+        const Model warm = models[k];
+        (void)model_verdicts(warm, qo);  // fills the memo
+        ASSERT_GT(warm.mec_memo().bytes(), 0u);
+        const Model fresh = warm;
+        ASSERT_EQ(fresh.mec_memo().bytes(), 0u);
+        expect_same_verdicts(model_verdicts(warm, qo), model_verdicts(fresh, qo));
+      }
+    }
+  }
+}
+
+// The quotient's node numbering is the sequential ascending scan's, and
+// its bytes do not depend on the thread count.
+TEST(QuantQuotient, ParallelBuildMatchesTheSequentialScan) {
+  std::vector<Model> models;
+  for (const std::uint64_t seed : {3u, 7u, 101u}) {
+    testutil::RandomMdpShape shape = quant_shape(seed);
+    if (seed == 101u) shape.states = 14'000;  // several 4,096-state ranges
+    models.push_back(testutil::random_mdp(seed, shape));
+  }
+  models.push_back(par::explore(*algos::make_algorithm("gdp1"), graph::classic_ring(3)));
+  for (std::size_t k = 0; k < models.size(); ++k) {
+    const Model& m = models[k];
+    const std::vector<bool> reached = reachable_states(m);
+    for (const std::uint64_t target : all_and_singleton_targets(m.num_phils())) {
+      for (const bool terminal : {true, false}) {
+        SCOPED_TRACE("model " + std::to_string(k) + " target " + std::to_string(target) +
+                     (terminal ? " reach quotient" : " p_trap quotient"));
+        const std::uint64_t avoid = terminal ? target : 0;
+        const MecList mecs = MecList::from(maximal_end_components(m, avoid));
+        const ref::Quotient want = ref::build_quotient(m, mecs.to_end_components(), reached,
+                                                       target, terminal);
+        detail::Quotient first;
+        for (const int threads : {1, 2, 4}) {
+          const detail::Quotient got =
+              detail::build_quotient(m, mecs, reached, target, terminal, pooled_options(threads));
+          ASSERT_EQ(got.num_nodes, want.num_nodes);
+          ASSERT_EQ(got.node_of, want.node_of);
+          ASSERT_EQ(got.mec_node, want.mec_node);
+          ASSERT_EQ(got.initial, want.initial);
+          if (threads == 1) {
+            first = got;
+            continue;
+          }
+          EXPECT_EQ(got.act_off, first.act_off);
+          EXPECT_EQ(got.out_off, first.out_off);
+          EXPECT_EQ(got.dest, first.dest);
+          EXPECT_EQ(got.prob, first.prob);
+        }
+      }
+    }
+  }
 }
 
 // --- The compact quotient. --------------------------------------------------
@@ -1104,7 +1215,8 @@ TEST(QuantQuotient, DedupKeepsFirstOccurrenceAndRespectsProbabilities) {
   const std::vector<bool> reached = reachable_states(m);
   const auto mecs = maximal_end_components(m, ~std::uint64_t{0});
   const detail::Quotient q =
-      detail::build_quotient(m, mecs, reached, ~std::uint64_t{0}, true, QuantOptions{});
+      detail::build_quotient(m, MecList::from(mecs), reached, ~std::uint64_t{0}, true,
+                             QuantOptions{});
   const std::uint32_t node = q.node_of[0];
   ASSERT_EQ(q.node_of[1], node);
   ASSERT_EQ(q.act_off[node + 1] - q.act_off[node], 2u);

@@ -21,6 +21,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
@@ -404,6 +405,91 @@ TEST(Store, AnalysesMatchContiguousPathOnCompleteModels) {
   EXPECT_EQ(quant_store.e_min, quant_direct.e_min);
   EXPECT_EQ(quant_store.e_max, quant_direct.e_max);
   EXPECT_EQ(quant_store.sweeps, quant_direct.sweeps);
+}
+
+// The verdict and quant calls read MEC decompositions through the model's
+// memo. On chunked models — spilled and under a tight residency budget in
+// the CI store passes — a model whose memo every mask already sits in must
+// give exactly what a fresh exploration and a loaded checkpoint (which
+// keeps the reachability sweep) compute, at every thread count.
+TEST(Store, MemoWarmVerdictsMatchFreshModels) {
+  const ScratchDir scratch("memo");
+  struct Verdicts {
+    std::vector<FairProgressResult> fair;
+    std::vector<quant::QuantResult> quant;
+  };
+  const auto verdicts = [](const ChunkedModel& m, int threads) {
+    par::CheckOptions co;
+    co.threads = threads;
+    quant::QuantOptions qo;
+    qo.threads = threads;
+    Verdicts v;
+    std::vector<std::uint64_t> targets{~std::uint64_t{0}};
+    v.fair.push_back(check_fair_progress(m, ~std::uint64_t{0}, co));
+    for (int p = 0; p < m.num_phils(); ++p) {
+      v.fair.push_back(check_lockout_freedom(m, static_cast<PhilId>(p), co));
+      targets.push_back(std::uint64_t{1} << p);
+    }
+    v.quant = analyze(m, targets, qo);
+    return v;
+  };
+  const auto expect_same = [](const Verdicts& got, const Verdicts& want) {
+    ASSERT_EQ(got.fair.size(), want.fair.size());
+    for (std::size_t i = 0; i < got.fair.size(); ++i) {
+      EXPECT_EQ(got.fair[i].verdict, want.fair[i].verdict);
+      EXPECT_EQ(got.fair[i].num_mecs, want.fair[i].num_mecs);
+      EXPECT_EQ(got.fair[i].num_fair_mecs, want.fair[i].num_fair_mecs);
+      EXPECT_EQ(got.fair[i].witness_size, want.fair[i].witness_size);
+      EXPECT_EQ(got.fair[i].witness_state.value_or(0), want.fair[i].witness_state.value_or(0));
+    }
+    ASSERT_EQ(got.quant.size(), want.quant.size());
+    for (std::size_t i = 0; i < got.quant.size(); ++i) {
+      const quant::QuantResult& a = got.quant[i];
+      const quant::QuantResult& b = want.quant[i];
+      for (const auto& [x, y] : {std::pair{a.p_min, b.p_min}, std::pair{a.p_max, b.p_max},
+                                 std::pair{a.p_trap, b.p_trap}, std::pair{a.e_min, b.e_min},
+                                 std::pair{a.e_max, b.e_max}}) {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(x.lower), std::bit_cast<std::uint64_t>(y.lower));
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(x.upper), std::bit_cast<std::uint64_t>(y.upper));
+      }
+      EXPECT_EQ(a.certainty, b.certainty);
+      EXPECT_EQ(a.sweeps, b.sweeps);
+      EXPECT_EQ(a.stats.p_max_sweeps, b.stats.p_max_sweeps);
+      EXPECT_EQ(a.stats.p_min_sweeps, b.stats.p_min_sweeps);
+      EXPECT_EQ(a.stats.e_min_sweeps, b.stats.e_min_sweeps);
+      EXPECT_EQ(a.stats.e_max_sweeps, b.stats.e_max_sweeps);
+      EXPECT_EQ(a.stats.p_trap_sweeps, b.stats.p_trap_sweeps);
+      EXPECT_EQ(a.num_quotient_nodes, b.num_quotient_nodes);
+    }
+  };
+  for (const auto& [name, t] : {std::pair{"gdp1", graph::classic_ring(3)},
+                                std::pair{"lr2", graph::parallel_arcs(3)}}) {
+    const auto algo = algos::make_algorithm(name);
+    for (const int threads : {1, 2, 4}) {
+      SCOPED_TRACE(std::string(name) + " on " + t.name() + " threads=" + std::to_string(threads));
+      par::CheckOptions co;
+      co.threads = threads;
+      const ChunkedModel warm = explore(*algo, t, suite_options(scratch), co);
+      ASSERT_TRUE(warm.all_states_reachable());
+      (void)verdicts(warm, threads);  // fills the memo
+      ASSERT_GT(warm.mec_memo().bytes(), 0u);
+      EXPECT_LE(warm.mec_memo().bytes(), warm.num_outcomes() * sizeof(Outcome));
+      const Verdicts again = verdicts(warm, threads);
+
+      const ChunkedModel fresh = explore(*algo, t, suite_options(scratch), co);
+      ASSERT_EQ(fresh.fingerprint(), warm.fingerprint());
+      expect_same(again, verdicts(fresh, threads));
+      EXPECT_TRUE(fresh.materialize().all_states_reachable());
+
+      const std::string ckpt = scratch.path("memo.ckpt");
+      fresh.save_checkpoint(ckpt);
+      const ChunkedModel loaded =
+          ChunkedModel::load_checkpoint(*algo, t, ckpt, suite_options(scratch));
+      EXPECT_FALSE(loaded.all_states_reachable());
+      EXPECT_EQ(loaded.num_outcomes(), fresh.num_outcomes());
+      expect_same(again, verdicts(loaded, threads));
+    }
+  }
 }
 
 TEST(Store, TruncatedModelsKeepRefusalSemantics) {
